@@ -2,14 +2,12 @@
 
 from .channel import (
     CIR_FIXTURE,
-    SPEED_OF_LIGHT_MPS,
     CfoParams,
     ChannelScenario,
     add_awgn,
     apply_cfo,
     apply_cir,
     apply_sto,
-    doppler_frequency,
     random_cir,
     replicate_branches,
 )
@@ -31,8 +29,6 @@ from .sync import (
     EstimatorConfig,
     Method,
     MetricTrace,
-    cbm_metric,
-    dbm_metric,
     default_config,
     estimate_sto,
 )
@@ -52,7 +48,6 @@ __all__ = [
     "ALL_METHODS",
     "CIR_FIXTURE",
     "DEFAULT_STO_VALUES",
-    "SPEED_OF_LIGHT_MPS",
     "CfoParams",
     "ChannelScenario",
     "Constellation",
@@ -71,12 +66,9 @@ __all__ = [
     "apply_cir",
     "apply_sto",
     "build_frame",
-    "cbm_metric",
-    "dbm_metric",
     "default_config",
     "derive_seed",
     "dft",
-    "doppler_frequency",
     "estimate_sto",
     "freq_response",
     "idft",

@@ -17,7 +17,6 @@ import numpy as np
 from .txgen import SampleStream
 
 __all__ = [
-    "SPEED_OF_LIGHT_MPS",
     "CIR_FIXTURE",
     "CfoParams",
     "ChannelScenario",
@@ -27,10 +26,7 @@ __all__ = [
     "random_cir",
     "add_awgn",
     "apply_cfo",
-    "doppler_frequency",
 ]
-
-SPEED_OF_LIGHT_MPS = 299_792_458.0
 
 # Frozen ten-tap multipath snapshot used by the canned Rayleigh scenarios,
 # so fading runs are reproducible. Energy sum(|h|^2) ~= 1.1346; the dominant
@@ -50,26 +46,29 @@ CIR_FIXTURE: tuple[complex, ...] = (
 )
 
 
+_SNR_DB_RULE = "use +inf or a value (not NaN) with 10^(snr_db/10) finite and > 0"
+
+
+def _snr_db_sizes_noise(snr_db: float) -> bool:
+    """True for +inf (no noise) or when 10^(snr_db/10) is finite and > 0; NaN fails."""
+    try:
+        return snr_db == math.inf or 0.0 < 10.0 ** (snr_db / 10.0) < math.inf
+    except OverflowError:
+        return False
+
+
 @dataclass(frozen=True)
 class CfoParams:
     """Carrier frequency offset description.
 
-    epsilon is the normalized offset in cycles per n_subcarriers samples;
-    carrier_hz and velocity_mps are kept so a Doppler-derived epsilon can be
-    reconstructed from physical parameters.
+    epsilon is the normalized offset in cycles per n_subcarriers samples.
     """
 
     epsilon: float
-    carrier_hz: float = 1.0e9
-    velocity_mps: float = 0.0
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
-        if not self.carrier_hz > 0:
-            raise ValueError(f"carrier_hz must be > 0, got {self.carrier_hz}")
-        if self.velocity_mps < 0:
-            raise ValueError(f"velocity_mps must be >= 0, got {self.velocity_mps}")
 
 
 @dataclass(frozen=True)
@@ -87,8 +86,8 @@ class ChannelScenario:
     rx_branches: int = 1
 
     def __post_init__(self) -> None:
-        if math.isnan(self.snr_db):
-            raise ValueError("snr_db must not be NaN")
+        if not _snr_db_sizes_noise(self.snr_db):
+            raise ValueError(f"snr_db={self.snr_db} cannot size noise; {_SNR_DB_RULE}")
         if self.rx_branches < 1:
             raise ValueError(f"rx_branches must be >= 1, got {self.rx_branches}")
         if self.cir_taps and not all(
@@ -161,9 +160,9 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
     payload power of the input stream. snr_db == +inf disables noise. Noise
     is drawn independently per branch from one seeded generator.
     """
-    if math.isnan(snr_db):
-        raise ValueError("snr_db must not be NaN")
-    if math.isinf(snr_db) and snr_db > 0:
+    if not _snr_db_sizes_noise(snr_db):
+        raise ValueError(f"snr_db={snr_db} cannot size noise; {_SNR_DB_RULE}")
+    if snr_db == math.inf:
         return stream.with_branches(list(stream.branches))
     p_sig = stream.payload_power()
     if p_sig == 0.0:
@@ -186,12 +185,3 @@ def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
         raise ValueError(f"n_fft must be >= 1, got {n_fft}")
     phase = np.exp(2j * np.pi * epsilon * np.arange(stream.buffer_len) / n_fft)
     return stream.with_branches([b * phase for b in stream.branches])
-
-
-def doppler_frequency(velocity_mps: float, carrier_hz: float) -> float:
-    """Doppler shift v*f_c/c for a receiver moving at velocity_mps."""
-    if velocity_mps < 0:
-        raise ValueError(f"velocity_mps must be >= 0, got {velocity_mps}")
-    if not carrier_hz > 0:
-        raise ValueError(f"carrier_hz must be > 0, got {carrier_hz}")
-    return velocity_mps * carrier_hz / SPEED_OF_LIGHT_MPS

@@ -18,12 +18,12 @@ error (reported before any simulation work), 1 runtime failure.
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
-import math
 import sys
 from dataclasses import dataclass
 
-from .channel import CIR_FIXTURE, ChannelScenario
+from .channel import _SNR_DB_RULE, CIR_FIXTURE, ChannelScenario, _snr_db_sizes_noise
 from .harness import (
     ALL_METHODS,
     DEFAULT_STO_VALUES,
@@ -150,8 +150,8 @@ def _validate_common(ns: argparse.Namespace, subcommand: str) -> RunConfig:
         raise ValidationError(f"n: IDFT size must be >= 2, got {n_fft}")
 
     snr_db = _resolve(ns, "snr_db", None)
-    if snr_db is not None and math.isnan(snr_db):
-        raise ValidationError("snr-db: must not be NaN")
+    if snr_db is not None and not _snr_db_sizes_noise(snr_db):
+        raise ValidationError(f"snr-db: {snr_db} cannot size noise; {_SNR_DB_RULE}")
     default_snr = _DEFAULT_SNR_AXIS[:1] if single_cell else _DEFAULT_SNR_AXIS
     snr_axis = (snr_db,) if snr_db is not None else default_snr
 
@@ -196,11 +196,18 @@ def _validate_common(ns: argparse.Namespace, subcommand: str) -> RunConfig:
     points = _resolve(ns, "points", 256)
     taps_text = _resolve(ns, "taps", None)
     taps = _parse_complex_list(taps_text, "taps") if taps_text is not None else CIR_FIXTURE
+    if not all(cmath.isfinite(t) for t in taps):
+        raise ValidationError("taps: coefficients must be finite")
     if subcommand == "response":
         if not taps:
             raise ValidationError("taps: needs at least one coefficient")
         if points < len(taps):
             raise ValidationError(f"points: must be >= tap count {len(taps)}, got {points}")
+
+    master_seed = _resolve(ns, "seed", 0)
+    # derive_seed packs the master seed into 16 signed bytes.
+    if not -(2**127) <= master_seed < 2**127:
+        raise ValidationError(f"seed: must lie in [-2**127, 2**127), got {master_seed}")
 
     return RunConfig(
         subcommand=subcommand,
@@ -210,7 +217,7 @@ def _validate_common(ns: argparse.Namespace, subcommand: str) -> RunConfig:
         methods=methods,
         sto_values=sto_values,
         n_trials=n_trials,
-        master_seed=_resolve(ns, "seed", 0),
+        master_seed=master_seed,
         n_fft=n_fft,
         points=points,
         taps=taps,
@@ -399,13 +406,10 @@ def main(argv=None) -> int:
     except ValidationError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except Exception as err:  # pragma: no cover - defensive
+    except Exception as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 1
 

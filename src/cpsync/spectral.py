@@ -7,9 +7,9 @@ Conventions, fixed for the whole package:
 
 so that idft(dft(x)) == x and Parseval reads sum|x|^2 == (1/N)*sum|X|^2.
 
-Power-of-two lengths go through an iterative radix-2 Cooley-Tukey path with
-vectorised butterflies; any other length falls back to direct summation.
-All arithmetic is complex double precision.
+Both directions are numpy.fft with its default norm="backward", which is
+exactly this convention, for any length. All arithmetic is complex double
+precision.
 """
 
 from __future__ import annotations
@@ -17,52 +17,6 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["dft", "idft"]
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
-
-
-def _bit_reversed_indices(n: int) -> np.ndarray:
-    """Bit-reversal permutation for a power-of-two length n."""
-    bits = n.bit_length() - 1
-    idx = np.arange(n)
-    rev = np.zeros(n, dtype=np.intp)
-    for _ in range(bits):
-        rev = (rev << 1) | (idx & 1)
-        idx >>= 1
-    return rev
-
-
-def _transform_radix2(x: np.ndarray, sign: float) -> np.ndarray:
-    """Iterative radix-2 decimation-in-time transform, unscaled.
-
-    sign = -1.0 gives the forward kernel, +1.0 the inverse kernel (without
-    the 1/N factor).
-    """
-    n = x.size
-    out = x[_bit_reversed_indices(n)].astype(np.complex128)
-    half = 1
-    while half < n:
-        step = 2 * half
-        twiddle = np.exp(sign * 2j * np.pi * np.arange(half) / step)
-        blocks = out.reshape(-1, step)
-        even = blocks[:, :half].copy()
-        odd = blocks[:, half:] * twiddle
-        blocks[:, :half] = even + odd
-        blocks[:, half:] = even - odd
-        half = step
-    return out
-
-
-def _transform_direct(x: np.ndarray, sign: float) -> np.ndarray:
-    """O(N^2) summation for lengths that are not a power of two."""
-    n = x.size
-    grid = np.arange(n)
-    out = np.empty(n, dtype=np.complex128)
-    for k in range(n):
-        out[k] = np.sum(x * np.exp(sign * 2j * np.pi * k * grid / n))
-    return out
 
 
 def _checked_input(x, n: int | None, name: str) -> np.ndarray:
@@ -78,12 +32,6 @@ def _checked_input(x, n: int | None, name: str) -> np.ndarray:
     return arr
 
 
-def _transform(x: np.ndarray, sign: float) -> np.ndarray:
-    if _is_power_of_two(x.size):
-        return _transform_radix2(x, sign)
-    return _transform_direct(x, sign)
-
-
 def dft(x, n: int | None = None) -> np.ndarray:
     """Forward transform of a complex vector, unscaled.
 
@@ -92,10 +40,10 @@ def dft(x, n: int | None = None) -> np.ndarray:
     non-finite input.
     """
     arr = _checked_input(x, n, "x")
-    return _transform(arr, -1.0)
+    return np.fft.fft(arr)
 
 
 def idft(spectrum, n: int | None = None) -> np.ndarray:
     """Inverse transform with 1/N scaling; exact inverse of :func:`dft`."""
     arr = _checked_input(spectrum, n, "spectrum")
-    return _transform(arr, +1.0) / arr.size
+    return np.fft.ifft(arr)

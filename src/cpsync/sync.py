@@ -43,8 +43,6 @@ __all__ = [
     "Method",
     "EstimatorConfig",
     "MetricTrace",
-    "cbm_metric",
-    "dbm_metric",
     "estimate_sto",
     "default_config",
 ]
@@ -147,48 +145,6 @@ def _check_window(stream: SampleStream, cfg: EstimatorConfig) -> None:
             f"estimator window touches [{lo}, {hi}] which exceeds the "
             f"buffer [0, {stream.buffer_len})"
         )
-
-
-def _check_delta(cfg: EstimatorConfig, delta: int) -> None:
-    if not cfg.search_min <= delta <= cfg.search_max:
-        raise ValueError(
-            f"delta={delta} outside search range [{cfg.search_min}, {cfg.search_max}]"
-        )
-
-
-def cbm_metric(stream: SampleStream, cfg: EstimatorConfig, delta: int) -> float:
-    """Correlation statistic at a single candidate offset."""
-    _check_delta(cfg, delta)
-    _check_window(stream, cfg)
-    acc = 0.0 + 0.0j
-    for y in stream.branches:
-        for s in range(cfg.symbols_averaged):
-            b = cfg.n + s * cfg.stride + delta
-            lead = y[b : b + cfg.cp_len]
-            lag = y[b + cfg.n_fft : b + cfg.n_fft + cfg.cp_len]
-            acc += np.sum(lead * np.conj(lag))
-    return float(np.abs(acc))
-
-
-def dbm_metric(stream: SampleStream, cfg: EstimatorConfig, delta: int) -> float:
-    """Difference statistic at a single candidate offset.
-
-    Uses cfg.method when it names a DBM variant, else the magnitude form.
-    """
-    _check_delta(cfg, delta)
-    _check_window(stream, cfg)
-    literal = cfg.method is Method.DBM_LITERAL
-    acc = 0.0
-    for y in stream.branches:
-        for s in range(cfg.symbols_averaged):
-            b = cfg.n + s * cfg.stride + delta
-            lead = y[b : b + cfg.cp_len]
-            lag = y[b + cfg.n_fft : b + cfg.n_fft + cfg.cp_len]
-            if literal:
-                acc += float(np.sum(np.abs(lead - np.conj(lag)) ** 2))
-            else:
-                acc += float(np.sum((np.abs(lead) - np.abs(lag)) ** 2))
-    return acc
 
 
 def _accumulated_pair_series(stream: SampleStream, cfg: EstimatorConfig) -> np.ndarray:

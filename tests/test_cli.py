@@ -2,10 +2,14 @@
 
 import csv
 import io
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from cpsync.cli import main
+
+DATA_DIR = Path(__file__).parent / "data"
 
 
 def run_cli(*args):
@@ -127,6 +131,20 @@ class TestSweepCommand:
         assert a.read_bytes() == b.read_bytes()
 
 
+    # Committed sweep output: a change to the CSV bytes for the same flags and
+    # seed fails here, whatever the refactor behind it.
+    @pytest.mark.parametrize("golden,flags", [
+        ("sweep_seed17.csv", ["--trials", "25", "--seed", "17"]),
+        ("sweep_wideband_seed17.csv", ["--n", "1024", "--cp", "72", "--snr-db", "10",
+                                       "--channel", "rayleigh-random", "--trials", "10",
+                                       "--seed", "17"]),
+    ])
+    def test_matches_committed_golden_bytes(self, tmp_path, golden, flags):
+        out = tmp_path / golden
+        assert run_cli("sweep", *flags, "--out", str(out)) == 0
+        assert out.read_bytes() == (DATA_DIR / golden).read_bytes()
+
+
 class TestResponseCommand:
     def test_row_count_honours_points(self, tmp_path):
         out = tmp_path / "resp.csv"
@@ -191,6 +209,35 @@ class TestValidationAndExitCodes:
 
     def test_no_subcommand_is_usage_error(self):
         assert run_cli() == 2
+
+    @pytest.mark.parametrize("snr", ["-inf", "1e308", "-1e308"])
+    def test_snr_that_cannot_size_noise_rejected(self, tmp_path, capsys, snr):
+        code = run_cli("sweep", f"--snr-db={snr}", "--trials", "1",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "snr-db:" in capsys.readouterr().err
+
+    def test_non_finite_taps_rejected(self, tmp_path, capsys):
+        code = run_cli("response", "--taps", "nan", "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "taps:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [2**127, -(2**127) - 1])
+    def test_seed_outside_derive_seed_range_rejected(self, tmp_path, capsys, seed):
+        code = run_cli("sweep", "--seed", str(seed), "--trials", "1",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "seed:" in capsys.readouterr().err
+
+    def test_value_error_during_simulation_is_runtime_failure(self, tmp_path, capsys,
+                                                              monkeypatch):
+        def failing_run(*args, **kwargs):
+            raise ValueError("simulated failure")
+
+        monkeypatch.setattr("cpsync.cli.run_monte_carlo", failing_run)
+        code = run_cli("sweep", "--trials", "1", "--out", str(tmp_path / "x.csv"))
+        assert code == 1
+        assert "simulated failure" in capsys.readouterr().err
 
 
 class TestConfigFile:
