@@ -234,6 +234,69 @@ class TestRunMonteCarlo:
             )
 
 
+# Statistics recorded from the list-of-branches implementation; a change to
+# the branch layout or to any per-branch draw shows up here first.
+_MULTI_BRANCH_PINS = [
+    (
+        Scenario(
+            label="pin-4rx-cfo",
+            ofdm=OfdmParams(n_subcarriers=128, cp_len=16),
+            channel=ChannelScenario(snr_db=2.0, rx_branches=4, cfo=CfoParams(epsilon=0.2)),
+        ),
+        {
+            Method.CBM: MethodStats(
+                0.94, 1.0, 0.06, 0.06,
+                {-1: 2, 0: 47, 1: 1},
+            ),
+            Method.DBM_MAGNITUDE: MethodStats(
+                0.46, 0.8, 1.48, 26.0,
+                {-35: 1, -4: 1, -3: 1, -2: 4, -1: 11, 0: 23, 1: 6, 2: 2, 3: 1},
+            ),
+            Method.DBM_LITERAL: MethodStats(
+                0.02, 0.02, 18.04, 422.96,
+                {-35: 2, -31: 1, -29: 1, -28: 1, -26: 1, -21: 3, -19: 1, -18: 1, -17: 1,
+                 -16: 1, -14: 1, -13: 2, -10: 2, -8: 1, -6: 1, -4: 1, -2: 1, 0: 1, 3: 1, 5: 1,
+                 7: 1, 8: 2, 9: 3, 12: 1, 13: 2, 15: 1, 16: 1, 18: 1, 20: 1, 21: 1, 23: 2,
+                 24: 1, 27: 1, 28: 1, 29: 1, 31: 2, 34: 2, 35: 1},
+            ),
+        },
+    ),
+    (
+        Scenario(
+            label="pin-4rx-fixture",
+            ofdm=OfdmParams(n_subcarriers=128, cp_len=32),
+            channel=ChannelScenario(snr_db=5.0, rx_branches=4, cir_taps=CIR_FIXTURE),
+        ),
+        {
+            Method.CBM: MethodStats(
+                0.0, 0.0, 4.82, 23.94,
+                {3: 4, 4: 11, 5: 25, 6: 10},
+            ),
+            Method.DBM_MAGNITUDE: MethodStats(
+                0.0, 0.08, 4.78, 25.26,
+                {1: 4, 3: 5, 4: 8, 5: 13, 6: 18, 7: 1, 8: 1},
+            ),
+            Method.DBM_LITERAL: MethodStats(
+                0.0, 0.0, 42.28, 2066.76,
+                {-66: 3, -63: 1, -61: 1, -60: 1, -58: 2, -57: 1, -55: 1, -52: 1, -50: 1,
+                 -49: 1, -47: 1, -46: 1, -42: 1, -39: 1, -38: 1, -37: 1, -33: 1, -29: 1,
+                 -27: 1, -24: 1, -23: 1, -21: 1, -10: 1, -7: 1, -2: 1, 16: 1, 20: 1, 22: 1,
+                 27: 1, 31: 2, 32: 1, 35: 1, 37: 1, 39: 1, 40: 2, 46: 1, 52: 2, 53: 2, 55: 1,
+                 58: 1, 59: 1, 65: 2},
+            ),
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "scenario, expected", _MULTI_BRANCH_PINS, ids=[s.label for s, _ in _MULTI_BRANCH_PINS]
+)
+def test_multi_branch_statistics_pinned(scenario, expected):
+    stats = run_monte_carlo(scenario, n_trials=50, master_seed=17)
+    assert stats.methods == expected
+
+
 class TestFreqResponse:
     def test_unit_tap_is_allpass(self):
         for _, magnitude_db, phase_rad in freq_response([1.0], 16):
