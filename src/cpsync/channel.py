@@ -46,13 +46,17 @@ CIR_FIXTURE: tuple[complex, ...] = (
 )
 
 
-_SNR_DB_RULE = "use +inf or a value (not NaN) with 10^(snr_db/10) finite and > 0"
+# Lowest accepted SNR. Near -3000 dB the noise variance or the metric sums
+# overflow float64; -300 dB leaves a margin of some 10^270 for both.
+MIN_SNR_DB = -300.0
+
+_SNR_DB_RULE = f"use +inf or a value >= {MIN_SNR_DB:g} (not NaN) with 10^(snr_db/10) finite"
 
 
 def _snr_db_sizes_noise(snr_db: float) -> bool:
-    """True for +inf (no noise) or when 10^(snr_db/10) is finite and > 0; NaN fails."""
+    """True for +inf (no noise) or snr_db >= MIN_SNR_DB with 10^(snr_db/10) finite."""
     try:
-        return snr_db == math.inf or 0.0 < 10.0 ** (snr_db / 10.0) < math.inf
+        return snr_db == math.inf or (snr_db >= MIN_SNR_DB and 10.0 ** (snr_db / 10.0) < math.inf)
     except OverflowError:
         return False
 
@@ -102,7 +106,7 @@ def replicate_branches(stream: SampleStream, n_branches: int) -> SampleStream:
         raise ValueError(f"expected a single-branch stream, got {stream.n_branches}")
     if n_branches < 1:
         raise ValueError(f"n_branches must be >= 1, got {n_branches}")
-    return stream.with_branches([stream.branches[0]] * n_branches)
+    return stream.with_branches(np.broadcast_to(stream.branches, (n_branches, stream.buffer_len)))
 
 
 def apply_sto(stream: SampleStream, delta: int) -> SampleStream:
@@ -134,8 +138,8 @@ def apply_cir(stream: SampleStream, taps) -> SampleStream:
         raise ValueError("cir taps must contain at least one coefficient")
     if not np.all(np.isfinite(h)):
         raise ValueError("cir taps must be finite")
-    convolved = [np.convolve(b, h)[: b.size] for b in stream.branches]
-    return stream.with_branches(convolved)
+    # numpy has no batched 1-D convolve, so this is one call per row.
+    return stream.with_branches([np.convolve(b, h)[: b.size] for b in stream.branches])
 
 
 def random_cir(n_taps: int, seed: int, normalize: bool = False) -> np.ndarray:
@@ -158,23 +162,21 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
 
     Per-sample noise variance is P_sig / 10^(snr_db/10) with P_sig the mean
     payload power of the input stream. snr_db == +inf disables noise. Noise
-    is drawn independently per branch from one seeded generator.
+    is drawn independently per branch from one seeded generator: one
+    (n_branches, 2, buffer_len) draw, real then imaginary part per branch.
     """
     if not _snr_db_sizes_noise(snr_db):
         raise ValueError(f"snr_db={snr_db} cannot size noise; {_SNR_DB_RULE}")
     if snr_db == math.inf:
-        return stream.with_branches(list(stream.branches))
+        return stream
     p_sig = stream.payload_power()
     if p_sig == 0.0:
         raise ValueError("cannot size noise against a zero-power payload")
     sigma2 = p_sig / 10.0 ** (snr_db / 10.0)
     rng = np.random.default_rng(seed)
     scale = np.sqrt(sigma2 / 2.0)
-    noisy = [
-        b + scale * (rng.standard_normal(b.size) + 1j * rng.standard_normal(b.size))
-        for b in stream.branches
-    ]
-    return stream.with_branches(noisy)
+    draws = rng.standard_normal((stream.n_branches, 2, stream.buffer_len))
+    return stream.with_branches(stream.branches + scale * (draws[:, 0] + 1j * draws[:, 1]))
 
 
 def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
@@ -184,4 +186,4 @@ def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
     if n_fft < 1:
         raise ValueError(f"n_fft must be >= 1, got {n_fft}")
     phase = np.exp(2j * np.pi * epsilon * np.arange(stream.buffer_len) / n_fft)
-    return stream.with_branches([b * phase for b in stream.branches])
+    return stream.with_branches(stream.branches * phase)

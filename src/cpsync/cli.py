@@ -32,7 +32,7 @@ from .harness import (
     run_monte_carlo,
     run_trial,
 )
-from .sync import Method
+from .sync import Method, check_search_offset
 from .txgen import OfdmParams
 
 __all__ = ["main", "run"]
@@ -183,11 +183,12 @@ def _validate_common(ns: argparse.Namespace, subcommand: str) -> RunConfig:
     if not sto_values:
         raise ValidationError("sto: needs at least one offset")
     for cp_value in cp_axis:
+        params = OfdmParams(n_fft, cp_value)
         for sto in sto_values:
-            if abs(sto) > 2 * cp_value or abs(sto) >= n_fft:
-                raise ValidationError(
-                    f"sto: {sto} outside the search range +-{2 * cp_value} for cp={cp_value}"
-                )
+            try:
+                check_search_offset("sto", sto, params)
+            except ValueError as err:
+                raise ValidationError(f"sto: {err}") from None
 
     n_trials = _resolve(ns, "trials", _DEFAULT_TRIALS)
     if n_trials < 1:

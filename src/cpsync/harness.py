@@ -32,7 +32,7 @@ from .channel import (
     replicate_branches,
 )
 from .spectral import dft
-from .sync import Method, MetricTrace, default_config, estimate_sto
+from .sync import Method, MetricTrace, check_search_offset, default_config, estimate_sto
 from .txgen import OfdmParams, build_frame
 
 __all__ = [
@@ -93,13 +93,8 @@ class Scenario:
             raise ValueError("scenario needs at least one method")
         if not self.sto_values:
             raise ValueError("scenario needs at least one true offset")
-        limit = 2 * self.ofdm.cp_len
         for sto in self.sto_values:
-            if abs(sto) > limit or abs(sto) >= self.ofdm.n_subcarriers:
-                raise ValueError(
-                    f"sto={sto} outside the default search range +-{limit} "
-                    f"(n_subcarriers={self.ofdm.n_subcarriers})"
-                )
+            check_search_offset("sto", sto, self.ofdm)
         if self.fresh_cir_per_trial and self.channel.cir_taps:
             raise ValueError("fresh_cir_per_trial excludes fixed cir_taps")
         if self.fresh_cir_per_trial and self.n_random_taps < 1:
@@ -121,18 +116,13 @@ class TrialResult:
     """Per-method decisions and full traces for one seeded trial."""
 
     true_sto: int
-    estimates: dict[Method, int]
     traces: dict[Method, MetricTrace]
     seed: int
 
-    def __post_init__(self) -> None:
-        if set(self.estimates) != set(self.traces):
-            raise ValueError("estimates and traces must cover the same methods")
-        for method, trace in self.traces.items():
-            if self.estimates[method] != trace.argopt:
-                raise ValueError(
-                    f"estimate for {method.value} does not equal its trace argopt"
-                )
+    @property
+    def estimates(self) -> dict[Method, int]:
+        """Each method's decision: the argopt of its trace."""
+        return {m: t.argopt for m, t in self.traces.items()}
 
 
 @dataclass
@@ -200,11 +190,7 @@ def reference_scenarios(
 def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
     """Execute the full pipeline once, deterministically for the given seed."""
     ofdm = scenario.ofdm
-    if abs(true_sto) > 2 * ofdm.cp_len or abs(true_sto) >= ofdm.n_subcarriers:
-        raise ValueError(
-            f"true_sto={true_sto} outside the default search range "
-            f"+-{2 * ofdm.cp_len}"
-        )
+    check_search_offset("true_sto", true_sto, ofdm)
     stream = build_frame(ofdm, derive_seed(seed, "tx"))
     if scenario.channel.rx_branches > 1:
         stream = replicate_branches(stream, scenario.channel.rx_branches)
@@ -220,8 +206,7 @@ def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
         # magnitude-based decisions match the CFO-free run exactly.
         stream = apply_cfo(stream, scenario.channel.cfo.epsilon, ofdm.n_subcarriers)
     traces = {m: estimate_sto(stream, default_config(stream, ofdm, m)) for m in scenario.methods}
-    estimates = {m: t.argopt for m, t in traces.items()}
-    return TrialResult(true_sto=true_sto, estimates=estimates, traces=traces, seed=seed)
+    return TrialResult(true_sto=true_sto, traces=traces, seed=seed)
 
 
 def run_monte_carlo(scenario: Scenario, n_trials: int, master_seed: int) -> ScenarioStats:

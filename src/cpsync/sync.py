@@ -124,22 +124,11 @@ class MetricTrace:
             raise ValueError("opt_value does not match values at argopt")
 
 
-def _window_bounds(cfg: EstimatorConfig) -> tuple[int, int]:
-    """Lowest and highest buffer index the full candidate sweep touches."""
-    lo = cfg.n + cfg.search_min
-    hi = (
-        cfg.n
-        + (cfg.symbols_averaged - 1) * cfg.stride
-        + cfg.search_max
-        + cfg.cp_len
-        - 1
-        + cfg.n_fft
-    )
-    return lo, hi
-
-
 def _check_window(stream: SampleStream, cfg: EstimatorConfig) -> None:
-    lo, hi = _window_bounds(cfg)
+    """Reject a sweep whose lowest or highest touched index leaves the buffer."""
+    lo = cfg.n + cfg.search_min
+    # The last symbol's lag block ends cp_len + n_fft = stride samples after its start.
+    hi = cfg.n + cfg.symbols_averaged * cfg.stride + cfg.search_max - 1
     if lo < 0 or hi >= stream.buffer_len:
         raise ValueError(
             f"estimator window touches [{lo}, {hi}] which exceeds the "
@@ -193,9 +182,30 @@ def estimate_sto(stream: SampleStream, cfg: EstimatorConfig) -> MetricTrace:
         values = np.abs(windows)
     else:
         values = windows  # sums of squared differences, already >= 0
+    if not np.isfinite(values).all():
+        raise ValueError(
+            f"{cfg.method.value} metric values are not finite: the stream's sums overflow"
+        )
     offsets = cfg.offsets
     argopt, opt_value = _argopt(offsets, values, cfg.method.maximizes)
     return MetricTrace(offsets=offsets, values=values, argopt=argopt, opt_value=opt_value)
+
+
+def _search_half_width(params: OfdmParams) -> int:
+    return 2 * params.cp_len
+
+
+def check_search_offset(name: str, sto: int, params: OfdmParams) -> None:
+    """Reject a true offset that default_config's search cannot recover.
+
+    The rule: |sto| <= 2*cp_len and |sto| < n_subcarriers (the frame's guard).
+    """
+    limit = _search_half_width(params)
+    if abs(sto) > limit or abs(sto) >= params.n_subcarriers:
+        raise ValueError(
+            f"{name}={sto} outside the default search range +-{limit} "
+            f"(cp_len={params.cp_len}, n_subcarriers={params.n_subcarriers})"
+        )
 
 
 def default_config(
@@ -212,7 +222,7 @@ def default_config(
     averaged = params.symbols_per_frame if symbols_averaged is None else symbols_averaged
     n = stream.sample_origin
     stride = params.symbol_len
-    half = 2 * params.cp_len
+    half = _search_half_width(params)
     search_min = max(-half, -n)
     search_max = min(
         half,

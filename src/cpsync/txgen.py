@@ -77,29 +77,35 @@ class OfdmParams:
 
 @dataclass
 class SampleStream:
-    """Complex baseband buffer, one entry per receive branch.
+    """Complex baseband buffer of shape (n_branches, buffer_len), one row per branch.
 
+    A list of equal-length 1-D arrays is accepted and stacked into rows.
     sample_origin is the receiver's nominal start of symbol 0 (index of its
     first CP sample). payload_start/payload_stop bound the region that
     actually carries signal (everything outside is zero guard padding); the
     noise generator measures signal power over that region only.
     """
 
-    branches: list[np.ndarray]
+    branches: np.ndarray
     sample_origin: int
     payload_start: int = 0
     payload_stop: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.branches:
+        try:
+            self.branches = np.asarray(self.branches, dtype=np.complex128)
+        except ValueError as err:  # e.g. a ragged list of branches
+            raise ValueError(f"branches must be numeric and share one shape: {err}") from None
+        shape = self.branches.shape
+        if shape[:1] == (0,):
             raise ValueError("SampleStream needs at least one branch")
-        self.branches = [np.asarray(b, dtype=np.complex128) for b in self.branches]
-        length = self.branches[0].size
-        for i, b in enumerate(self.branches):
-            if b.ndim != 1 or b.size != length:
-                raise ValueError(f"branch {i} has shape {b.shape}, expected ({length},)")
-            if not np.all(np.isfinite(b)):
-                raise ValueError(f"branch {i} contains non-finite samples")
+        if len(shape) != 2:
+            raise ValueError(f"branches have shape {shape}, expected (n_branches, buffer_len)")
+        finite = np.isfinite(self.branches)
+        if not finite.all():
+            bad = int(np.flatnonzero(~finite.all(axis=1))[0])
+            raise ValueError(f"branch {bad} contains non-finite samples")
+        length = shape[1]
         if self.payload_stop is None:
             self.payload_stop = length
         if not 0 <= self.payload_start <= self.payload_stop <= length:
@@ -110,29 +116,24 @@ class SampleStream:
 
     @property
     def n_branches(self) -> int:
-        return len(self.branches)
+        return self.branches.shape[0]
 
     @property
     def buffer_len(self) -> int:
-        return self.branches[0].size
+        return self.branches.shape[1]
 
     def payload_power(self) -> float:
         """Mean |sample|^2 over the payload region, averaged across branches."""
-        sl = slice(self.payload_start, self.payload_stop)
         if self.payload_stop == self.payload_start:
             raise ValueError("stream has an empty payload region")
-        return float(np.mean([np.mean(np.abs(b[sl]) ** 2) for b in self.branches]))
+        payload = self.branches[:, self.payload_start : self.payload_stop]
+        return float(np.mean(np.mean(np.abs(payload) ** 2, axis=1)))
 
-    def with_branches(self, branches: list[np.ndarray]) -> "SampleStream":
-        return SampleStream(
-            branches=branches,
-            sample_origin=self.sample_origin,
-            payload_start=self.payload_start,
-            payload_stop=self.payload_stop,
-        )
+    # Buffers are shared, not copied: impairments never mutate in place.
+    def with_branches(self, branches) -> "SampleStream":
+        return replace(self, branches=branches)
 
     def with_origin(self, sample_origin: int) -> "SampleStream":
-        # Buffers are shared, not copied: impairments never mutate in place.
         return replace(self, sample_origin=sample_origin)
 
 
@@ -192,7 +193,7 @@ def build_frame(params: OfdmParams, seed: int) -> SampleStream:
     pad = np.zeros(n, dtype=np.complex128)
     buffer = np.concatenate([pad, *symbols, pad])
     return SampleStream(
-        branches=[buffer],
+        branches=buffer[np.newaxis],
         sample_origin=n,
         payload_start=n,
         payload_stop=n + params.symbols_per_frame * params.symbol_len,

@@ -153,9 +153,10 @@ class TestAddAwgn:
         with pytest.raises(ValueError, match="NaN"):
             add_awgn(_unit_stream(n=16), math.nan, seed=0)
 
-    @pytest.mark.parametrize("snr_db", [-math.inf, 1e308, -1e308])
+    @pytest.mark.parametrize("snr_db", [-math.inf, 1e308, -1e308, -3080.0, -3200.0])
     def test_snr_without_finite_positive_ratio_rejected(self, snr_db):
-        # 10^(snr_db/10) is 0 or overflows, so no noise variance exists.
+        # 10^(snr_db/10) is 0 or overflows, so no noise variance exists; or
+        # snr_db lies below MIN_SNR_DB, where the noise or the metric sums overflow.
         with pytest.raises(ValueError, match="snr_db"):
             add_awgn(_unit_stream(n=16), snr_db, seed=0)
 
@@ -201,7 +202,7 @@ class TestScenarioTypes:
     def test_channel_scenario_validation(self):
         with pytest.raises(ValueError, match="NaN"):
             ChannelScenario(snr_db=math.nan)
-        for snr_db in (-math.inf, 1e308, -1e308):
+        for snr_db in (-math.inf, 1e308, -1e308, -3080.0, -3200.0):
             with pytest.raises(ValueError, match="snr_db"):
                 ChannelScenario(snr_db=snr_db)
         with pytest.raises(ValueError, match="rx_branches"):

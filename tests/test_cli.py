@@ -210,12 +210,23 @@ class TestValidationAndExitCodes:
     def test_no_subcommand_is_usage_error(self):
         assert run_cli() == 2
 
-    @pytest.mark.parametrize("snr", ["-inf", "1e308", "-1e308"])
+    # -3080 and -3200 dB have a finite 10^(snr/10) but lie below the -300 dB
+    # floor; without it they overflowed the noise or the metric sums mid-run.
+    @pytest.mark.parametrize("snr", ["-inf", "1e308", "-1e308", "-3080", "-3200"])
     def test_snr_that_cannot_size_noise_rejected(self, tmp_path, capsys, snr):
         code = run_cli("sweep", f"--snr-db={snr}", "--trials", "1",
                        "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "snr-db:" in capsys.readouterr().err
+
+    def test_snr_at_floor_completes(self, tmp_path):
+        out = tmp_path / "floor.csv"
+        code = run_cli("sweep", "--snr-db=-300", "--n", "1024", "--cp", "72",
+                       "--channel", "rayleigh-random", "--trials", "1", "--out", str(out))
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 3
+        assert all(float(row["mean_abs_error"]) >= 0.0 for row in rows)
 
     def test_non_finite_taps_rejected(self, tmp_path, capsys):
         code = run_cli("response", "--taps", "nan", "--out", str(tmp_path / "x.csv"))

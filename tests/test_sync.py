@@ -164,6 +164,15 @@ class TestEstimate:
         cfg = default_config(stream, DEFAULT, Method.DBM_MAGNITUDE, symbols_averaged=1)
         assert estimate_sto(stream, cfg).argopt == 3
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("method", list(Method))
+    def test_overflowing_metric_names_method(self, method):
+        # Finite samples near 1e160 square past the float64 range in the sums.
+        frame = build_frame(DEFAULT, seed=1)
+        stream = frame.with_branches(frame.branches * 1e160)
+        with pytest.raises(ValueError, match=f"{method.value} metric values are not finite"):
+            estimate_sto(stream, default_config(stream, DEFAULT, method))
+
 
 class TestOracleEquivalence:
     """Sliding evaluation must equal independent per-candidate brute force."""
