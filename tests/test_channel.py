@@ -149,6 +149,26 @@ class TestAddAwgn:
         rho = np.abs(np.vdot(n0, n1)) / (np.linalg.norm(n0) * np.linalg.norm(n1))
         assert rho < 0.02
 
+    @pytest.mark.parametrize(
+        "make_stream",
+        [
+            lambda: _unit_stream(n=300, seed=24),
+            lambda: _unit_stream(n=300, seed=25, branches=16),
+            lambda: replicate_branches(_unit_stream(n=300, seed=26), 4),
+        ],
+        ids=["1-branch", "16-branches", "replicated-view"],
+    )
+    def test_equals_scaled_draw_bit_for_bit(self, make_stream):
+        stream = make_stream()
+        snr_db, seed = 3.0, 27
+        out = add_awgn(stream, snr_db, seed)
+        scale = np.sqrt(stream.payload_power() / 10.0 ** (snr_db / 10.0) / 2.0)
+        draws = np.random.default_rng(seed).standard_normal(
+            (stream.n_branches, 2, stream.buffer_len)
+        )
+        expected = stream.branches + scale * (draws[:, 0] + 1j * draws[:, 1])
+        assert np.array_equal(out.branches, expected)
+
     def test_nan_snr_rejected(self):
         with pytest.raises(ValueError, match="NaN"):
             add_awgn(_unit_stream(n=16), math.nan, seed=0)

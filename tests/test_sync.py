@@ -1,5 +1,7 @@
 """Estimator contracts: noiseless anchors, oracle equivalence, invariances."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,6 +85,26 @@ class TestMetricTraceValidation:
             MetricTrace(offsets=[0, 1], values=[1.0, 2.0], argopt=1, opt_value=1.0)
         with pytest.raises(ValueError, match="equal length"):
             MetricTrace(offsets=[0, 1, 2], values=[1.0, 2.0], argopt=1, opt_value=2.0)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_estimator_traces_pass_public_validation(self, method):
+        # Every trace estimate_sto returns must survive the validating
+        # constructor unchanged, in values and in dtypes.
+        noiseless = _noiseless(DEFAULT, 3, seed=41)
+        streams = [
+            noiseless,
+            add_awgn(noiseless, 2.0, seed=42),
+            add_awgn(replicate_branches(noiseless, 3), 0.0, seed=43),
+            SampleStream(branches=[np.zeros(noiseless.buffer_len)], sample_origin=128),
+        ]
+        for stream in streams:
+            trace = estimate_sto(stream, default_config(stream, DEFAULT, method))
+            fields = {f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)}
+            rebuilt = MetricTrace(**fields)
+            for name in ("offsets", "values"):
+                assert getattr(rebuilt, name).dtype == fields[name].dtype
+                assert np.array_equal(getattr(rebuilt, name), fields[name])
+            assert (rebuilt.argopt, rebuilt.opt_value) == (trace.argopt, trace.opt_value)
 
 
 class TestNoiselessAnchors:

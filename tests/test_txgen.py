@@ -119,7 +119,31 @@ class TestOfdmSymbol:
             ofdm_symbol(np.ones(4, complex), params)
 
 
+def _per_symbol_frame(params, seed):
+    """build_frame composed symbol by symbol from the public building blocks."""
+    rng = np.random.default_rng(seed)
+    n = params.n_subcarriers
+    symbols = []
+    for _ in range(params.symbols_per_frame):
+        bits = rng.integers(0, 2, size=n * params.constellation.bits_per_symbol)
+        data = map_bits(bits, params.constellation) * np.sqrt(n)
+        symbols.append(add_cp(ofdm_symbol(data, params), params.cp_len))
+    pad = np.zeros(n, dtype=complex)
+    return np.concatenate([pad, *symbols, pad])
+
+
 class TestBuildFrame:
+    @pytest.mark.parametrize("constellation", list(Constellation))
+    @pytest.mark.parametrize(
+        "n, cp, symbols", [(128, 32, 4), (1024, 72, 4), (12, 3, 1), (64, 16, 3)]
+    )
+    def test_equals_per_symbol_composition(self, constellation, n, cp, symbols):
+        params = OfdmParams(n, cp, constellation=constellation, symbols_per_frame=symbols)
+        for seed in (0, 7, 2**40 + 3):
+            stream = build_frame(params, seed)
+            assert stream.n_branches == 1
+            assert np.array_equal(stream.branches[0], _per_symbol_frame(params, seed))
+
     def test_layout_arithmetic(self):
         params = OfdmParams(n_subcarriers=128, cp_len=32, symbols_per_frame=2)
         stream = build_frame(params, seed=1)
