@@ -85,7 +85,6 @@ class ChannelScenario:
 
     snr_db: float
     cir_taps: tuple[complex, ...] = ()
-    sto: int = 0
     cfo: CfoParams | None = None
     rx_branches: int = 1
 
@@ -176,7 +175,12 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
     rng = np.random.default_rng(seed)
     scale = np.sqrt(sigma2 / 2.0)
     draws = rng.standard_normal((stream.n_branches, 2, stream.buffer_len))
-    return stream.with_branches(stream.branches + scale * (draws[:, 0] + 1j * draws[:, 1]))
+    noise = np.empty((stream.n_branches, stream.buffer_len), dtype=np.complex128)
+    noise.real = draws[:, 0]
+    noise.imag = draws[:, 1]
+    noise *= scale
+    noise += stream.branches
+    return stream.with_branches(noise)
 
 
 def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:

@@ -2,8 +2,8 @@
 
 A trial runs the full pipeline
 
-    build_frame -> [replicate branches] -> [apply_cir] -> apply_sto
-                -> [apply_cfo] -> add_awgn -> estimate_sto per method
+    build_frame -> [apply_cir] -> [replicate branches] -> apply_sto
+                -> add_awgn -> [apply_cfo] -> estimate_sto per method
 
 with every random stage seeded from one trial seed through a frozen
 splitting rule, so results are reproducible across runs and platforms.
@@ -192,13 +192,14 @@ def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
     ofdm = scenario.ofdm
     check_search_offset("true_sto", true_sto, ofdm)
     stream = build_frame(ofdm, derive_seed(seed, "tx"))
-    if scenario.channel.rx_branches > 1:
-        stream = replicate_branches(stream, scenario.channel.rx_branches)
     taps = scenario.channel.cir_taps
     if scenario.fresh_cir_per_trial:
         taps = random_cir(scenario.n_random_taps, derive_seed(seed, "cir"), normalize=True)
     if len(taps):
         stream = apply_cir(stream, taps)
+    # Every branch sees the same channel, so convolve once and then replicate.
+    if scenario.channel.rx_branches > 1:
+        stream = replicate_branches(stream, scenario.channel.rx_branches)
     stream = apply_sto(stream, true_sto)
     stream = add_awgn(stream, scenario.channel.snr_db, derive_seed(seed, "awgn"))
     if scenario.channel.cfo is not None:

@@ -9,7 +9,7 @@ so that idft(dft(x)) == x and Parseval reads sum|x|^2 == (1/N)*sum|X|^2.
 
 Both directions are numpy.fft with its default norm="backward", which is
 exactly this convention, for any length. All arithmetic is complex double
-precision.
+precision. idft also takes a (rows x N) stack and transforms each row.
 """
 
 from __future__ import annotations
@@ -19,15 +19,16 @@ import numpy as np
 __all__ = ["dft", "idft"]
 
 
-def _checked_input(x, n: int | None, name: str) -> np.ndarray:
+def _checked_input(x, n: int | None, name: str, stack: bool = False) -> np.ndarray:
     arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
+    if arr.ndim != 1 and not (stack and arr.ndim == 2):
+        kind = "a 1-D vector or a 2-D stack of rows" if stack else "a 1-D vector"
+        raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
-    if n is not None and arr.size != n:
-        raise ValueError(f"{name} has length {arr.size}, expected n={n}")
-    if not np.all(np.isfinite(arr)):
+    if n is not None and arr.shape[-1] != n:
+        raise ValueError(f"{name} has length {arr.shape[-1]}, expected n={n}")
+    if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
@@ -44,6 +45,10 @@ def dft(x, n: int | None = None) -> np.ndarray:
 
 
 def idft(spectrum, n: int | None = None) -> np.ndarray:
-    """Inverse transform with 1/N scaling; exact inverse of :func:`dft`."""
-    arr = _checked_input(spectrum, n, "spectrum")
+    """Inverse transform with 1/N scaling; exact inverse of :func:`dft`.
+
+    A 2-D (rows x N) stack is transformed row by row; ``n`` then checks the
+    row length.
+    """
+    arr = _checked_input(spectrum, n, "spectrum", stack=True)
     return np.fft.ifft(arr)

@@ -123,6 +123,16 @@ class MetricTrace:
         if self.values[where[0]] != self.opt_value:
             raise ValueError("opt_value does not match values at argopt")
 
+    @classmethod
+    def _unchecked(
+        cls, offsets: np.ndarray, values: np.ndarray, argopt: int, opt_value: float
+    ) -> "MetricTrace":
+        """A trace that is valid by construction, built without __post_init__."""
+        trace = object.__new__(cls)
+        trace.offsets, trace.values = offsets, values
+        trace.argopt, trace.opt_value = argopt, opt_value
+        return trace
+
 
 def _check_window(stream: SampleStream, cfg: EstimatorConfig) -> None:
     """Reject a sweep whose lowest or highest touched index leaves the buffer."""
@@ -188,7 +198,9 @@ def estimate_sto(stream: SampleStream, cfg: EstimatorConfig) -> MetricTrace:
         )
     offsets = cfg.offsets
     argopt, opt_value = _argopt(offsets, values, cfg.method.maximizes)
-    return MetricTrace(offsets=offsets, values=values, argopt=argopt, opt_value=opt_value)
+    # arange offsets, finite non-negative values and an argopt drawn from
+    # them: the trace is valid by construction, so it skips re-validation.
+    return MetricTrace._unchecked(offsets, values, argopt, opt_value)
 
 
 def _search_half_width(params: OfdmParams) -> int:

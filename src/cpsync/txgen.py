@@ -181,20 +181,20 @@ def build_frame(params: OfdmParams, seed: int) -> SampleStream:
     offsets up to +-N never index out of bounds. The constellation spectrum
     is scaled by sqrt(N) before the inverse transform, which puts the mean
     payload sample power at 1.0 (the 1/N inverse alone would leave 1/N).
+
+    All bits come from one (symbols, bits per symbol) draw, which yields the
+    same bits as one draw per symbol in turn, and one inverse transform of
+    the stacked spectra.
     """
     rng = np.random.default_rng(seed)
-    n = params.n_subcarriers
-    gain = np.sqrt(n)
-    symbols = []
-    for _ in range(params.symbols_per_frame):
-        bits = rng.integers(0, 2, size=n * params.constellation.bits_per_symbol)
-        spectrum = map_bits(bits, params.constellation) * gain
-        symbols.append(add_cp(idft(spectrum), params.cp_len))
-    pad = np.zeros(n, dtype=np.complex128)
-    buffer = np.concatenate([pad, *symbols, pad])
+    n, cp, count = params.n_subcarriers, params.cp_len, params.symbols_per_frame
+    bits = rng.integers(0, 2, size=(count, n * params.constellation.bits_per_symbol))
+    bodies = idft(map_bits(bits, params.constellation).reshape(count, n) * np.sqrt(n))
+    payload_stop = n + count * params.symbol_len
+    buffer = np.zeros((1, payload_stop + n), dtype=np.complex128)
+    symbols = buffer[0, n:payload_stop].reshape(count, params.symbol_len)
+    symbols[:, :cp] = bodies[:, -cp:]
+    symbols[:, cp:] = bodies
     return SampleStream(
-        branches=buffer[np.newaxis],
-        sample_origin=n,
-        payload_start=n,
-        payload_stop=n + params.symbols_per_frame * params.symbol_len,
+        branches=buffer, sample_origin=n, payload_start=n, payload_stop=payload_stop
     )

@@ -102,6 +102,22 @@ def test_empty_and_non_vector_rejected():
         dft(np.ones((2, 2)))
 
 
+def test_idft_of_stack_equals_per_row_transform():
+    rng = np.random.default_rng(8)
+    stack = rng.standard_normal((4, 128)) + 1j * rng.standard_normal((4, 128))
+    rows = idft(stack, n=128)
+    assert rows.shape == (4, 128)
+    for row, spectrum in zip(rows, stack):
+        assert np.array_equal(row, idft(spectrum))
+
+
+def test_idft_rejects_3d_input_and_row_length_mismatch():
+    with pytest.raises(ValueError, match="2-D stack"):
+        idft(np.ones((2, 2, 4)))
+    with pytest.raises(ValueError, match="length 8, expected n=4"):
+        idft(np.ones((3, 8)), n=4)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.sampled_from([2, 4, 8, 16, 32, 64, 6, 10, 24]),
