@@ -124,13 +124,10 @@ class MetricTrace:
             raise ValueError("opt_value does not match values at argopt")
 
     @classmethod
-    def _unchecked(
-        cls, offsets: np.ndarray, values: np.ndarray, argopt: int, opt_value: float
-    ) -> "MetricTrace":
+    def _unchecked(cls, offsets, values, argopt: int, opt_value: float) -> "MetricTrace":
         """A trace that is valid by construction, built without __post_init__."""
         trace = object.__new__(cls)
-        trace.offsets, trace.values = offsets, values
-        trace.argopt, trace.opt_value = argopt, opt_value
+        vars(trace).update(offsets=offsets, values=values, argopt=argopt, opt_value=opt_value)
         return trace
 
 
