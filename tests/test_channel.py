@@ -218,6 +218,77 @@ class TestApplyCfo:
             apply_cfo(_unit_stream(n=8), math.inf, n_fft=4)
 
 
+def _public_copy(stream):
+    """The stream rebuilt through the validating public constructor."""
+    return SampleStream(
+        branches=stream.branches,
+        sample_origin=stream.sample_origin,
+        payload_start=stream.payload_start,
+        payload_stop=stream.payload_stop,
+    )
+
+
+def _frame_128():
+    return build_frame(OfdmParams(128, 32), seed=1)
+
+
+class TestImpairmentsArePubliclyValid:
+    """Every impairment's output must survive the public constructor unchanged."""
+
+    @pytest.mark.parametrize(
+        "impair",
+        [
+            lambda s: apply_sto(s, -3),
+            lambda s: apply_cir(s, CIR_FIXTURE),
+            lambda s: apply_cir(s, random_cir(10, seed=30, normalize=True)),
+            lambda s: replicate_branches(s, 4),
+            lambda s: add_awgn(s, 2.0, seed=31),
+            lambda s: add_awgn(replicate_branches(s, 16), 2.0, seed=32),
+            lambda s: apply_cfo(s, 0.2, n_fft=128),
+        ],
+        ids=[
+            "apply_sto",
+            "apply_cir-fixture",
+            "apply_cir-random",
+            "replicate_branches",
+            "add_awgn-1-branch",
+            "add_awgn-16-branches",
+            "apply_cfo",
+        ],
+    )
+    def test_output_passes_public_validation(self, impair):
+        out = impair(_frame_128())
+        rebuilt = _public_copy(out)
+        assert isinstance(out.branches, np.ndarray)
+        assert rebuilt.branches.dtype == out.branches.dtype == np.complex128
+        assert np.array_equal(rebuilt.branches, out.branches)
+        assert (rebuilt.sample_origin, rebuilt.payload_start, rebuilt.payload_stop) == (
+            out.sample_origin,
+            out.payload_start,
+            out.payload_stop,
+        )
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestOverflowIsNamed:
+    """Stages whose arithmetic can overflow finite samples say so."""
+
+    @staticmethod
+    def _scaled_frame(factor):
+        frame = _frame_128()
+        frame.branches = frame.branches * factor
+        return _public_copy(frame)
+
+    def test_add_awgn_overflowing_noise_variance(self):
+        # Finite samples near 1e160 square past the float64 range in the payload power.
+        with pytest.raises(ValueError, match="non-finite"):
+            add_awgn(self._scaled_frame(1e160), 10.0, seed=0)
+
+    def test_apply_cir_overflowing_convolution(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_cir(self._scaled_frame(1e307), [10, 10])
+
+
 class TestScenarioTypes:
     def test_channel_scenario_validation(self):
         with pytest.raises(ValueError, match="NaN"):
