@@ -36,10 +36,8 @@ from .txgen import (
     Constellation,
     OfdmParams,
     SampleStream,
-    add_cp,
     build_frame,
     map_bits,
-    ofdm_symbol,
 )
 
 __version__ = "0.1.0"
@@ -61,7 +59,6 @@ __all__ = [
     "ScenarioStats",
     "TrialResult",
     "add_awgn",
-    "add_cp",
     "apply_cfo",
     "apply_cir",
     "apply_sto",
@@ -73,7 +70,6 @@ __all__ = [
     "freq_response",
     "idft",
     "map_bits",
-    "ofdm_symbol",
     "random_cir",
     "reference_scenarios",
     "replicate_branches",

@@ -1,10 +1,11 @@
 """Channel impairments: timing offset, multipath convolution, AWGN, CFO rotation.
 
 All impairments are pure, seed-deterministic transforms that return new
-SampleStream instances; input buffers are never mutated. SNR is defined per
-received sample (Es/N0) against the measured payload power of the stream the
-noise is added to, i.e. after any multipath convolution, so runs across
-channel types compare at equal receiver SNR.
+SampleStream instances, valid by construction and not re-checked; input
+buffers are never mutated. apply_cir and add_awgn name the overflow their
+arithmetic can cause. SNR is defined per received sample (Es/N0) against the
+measured payload power of the stream the noise is added to, i.e. after any
+multipath convolution, so runs across channel types compare at equal receiver SNR.
 """
 
 from __future__ import annotations
@@ -105,7 +106,8 @@ def replicate_branches(stream: SampleStream, n_branches: int) -> SampleStream:
         raise ValueError(f"expected a single-branch stream, got {stream.n_branches}")
     if n_branches < 1:
         raise ValueError(f"n_branches must be >= 1, got {n_branches}")
-    return stream.with_branches(np.broadcast_to(stream.branches, (n_branches, stream.buffer_len)))
+    wide = np.broadcast_to(stream.branches, (n_branches, stream.buffer_len))
+    return stream._derive(branches=wide)
 
 
 def apply_sto(stream: SampleStream, delta: int) -> SampleStream:
@@ -122,7 +124,7 @@ def apply_sto(stream: SampleStream, delta: int) -> SampleStream:
             f"delta={delta} moves sample_origin to {new_origin}, "
             f"outside buffer [0, {stream.buffer_len})"
         )
-    return stream.with_origin(new_origin)
+    return stream._derive(sample_origin=new_origin)
 
 
 def apply_cir(stream: SampleStream, taps) -> SampleStream:
@@ -138,7 +140,10 @@ def apply_cir(stream: SampleStream, taps) -> SampleStream:
     if not np.all(np.isfinite(h)):
         raise ValueError("cir taps must be finite")
     # numpy has no batched 1-D convolve, so this is one call per row.
-    return stream.with_branches([np.convolve(b, h)[: b.size] for b in stream.branches])
+    out = np.stack([np.convolve(b, h)[: b.size] for b in stream.branches])
+    if not np.isfinite(out).all():
+        raise ValueError("apply_cir output is non-finite: the convolution overflows float64")
+    return stream._derive(branches=out)
 
 
 def random_cir(n_taps: int, seed: int, normalize: bool = False) -> np.ndarray:
@@ -172,6 +177,8 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
     if p_sig == 0.0:
         raise ValueError("cannot size noise against a zero-power payload")
     sigma2 = p_sig / 10.0 ** (snr_db / 10.0)
+    if not math.isfinite(sigma2):  # finite-variance noise cannot overflow a finite stream
+        raise ValueError("noise variance is non-finite: the payload power overflows float64")
     rng = np.random.default_rng(seed)
     scale = np.sqrt(sigma2 / 2.0)
     draws = rng.standard_normal((stream.n_branches, 2, stream.buffer_len))
@@ -180,7 +187,7 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
     noise.imag = draws[:, 1]
     noise *= scale
     noise += stream.branches
-    return stream.with_branches(noise)
+    return stream._derive(branches=noise)
 
 
 def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
@@ -190,4 +197,4 @@ def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
     if n_fft < 1:
         raise ValueError(f"n_fft must be >= 1, got {n_fft}")
     phase = np.exp(2j * np.pi * epsilon * np.arange(stream.buffer_len) / n_fft)
-    return stream.with_branches(stream.branches * phase)
+    return stream._derive(branches=stream.branches * phase)

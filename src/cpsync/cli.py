@@ -23,11 +23,11 @@ import csv
 import sys
 from dataclasses import dataclass
 
-from .channel import _SNR_DB_RULE, CIR_FIXTURE, ChannelScenario, _snr_db_sizes_noise
+from .channel import _SNR_DB_RULE, CIR_FIXTURE, _snr_db_sizes_noise
 from .harness import (
     ALL_METHODS,
     DEFAULT_STO_VALUES,
-    Scenario,
+    _cell_scenario,
     freq_response,
     run_monte_carlo,
     run_trial,
@@ -121,7 +121,6 @@ def _resolve(ns: argparse.Namespace, key: str, default):
 class RunConfig:
     """Validated selector set for one CLI invocation."""
 
-    subcommand: str
     snr_axis: tuple[float, ...]
     cp_axis: tuple[int, ...]
     channel_axis: tuple[str, ...]
@@ -211,7 +210,6 @@ def _validate_common(ns: argparse.Namespace, subcommand: str) -> RunConfig:
         raise ValidationError(f"seed: must lie in [-2**127, 2**127), got {master_seed}")
 
     return RunConfig(
-        subcommand=subcommand,
         snr_axis=snr_axis,
         cp_axis=cp_axis,
         channel_axis=channel_axis,
@@ -246,19 +244,6 @@ def _write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
             writer.writerow([_format_number(v) for v in row])
 
 
-def _build_scenario(cfg: RunConfig, snr_db: float, cp_len: int, channel_mode: str) -> Scenario:
-    mode_tag = {"awgn": "awgn", "rayleigh-fixture": "rayleigh", "rayleigh-random": "rayleigh-random"}
-    taps = CIR_FIXTURE if channel_mode == "rayleigh-fixture" else ()
-    return Scenario(
-        label=f"snr{snr_db:g}_cp{cp_len}_{mode_tag[channel_mode]}",
-        ofdm=OfdmParams(n_subcarriers=cfg.n_fft, cp_len=cp_len),
-        channel=ChannelScenario(snr_db=snr_db, cir_taps=taps),
-        methods=cfg.methods,
-        sto_values=cfg.sto_values,
-        fresh_cir_per_trial=channel_mode == "rayleigh-random",
-    )
-
-
 def cmd_trace(ns: argparse.Namespace) -> int:
     cfg = _validate_common(ns, "trace")
     if cfg.out_path is None:
@@ -267,7 +252,9 @@ def cmd_trace(ns: argparse.Namespace) -> int:
         raise ValidationError("sto: trace takes exactly one offset")
     if len(cfg.snr_axis) != 1 or len(cfg.cp_axis) != 1 or len(cfg.channel_axis) != 1:
         raise ValidationError("trace: snr-db, cp and channel each take exactly one value")
-    scenario = _build_scenario(cfg, cfg.snr_axis[0], cfg.cp_axis[0], cfg.channel_axis[0])
+    scenario = _cell_scenario(
+        cfg.snr_axis[0], cfg.cp_axis[0], cfg.channel_axis[0], cfg.n_fft, cfg.methods, cfg.sto_values
+    )
     true_sto = cfg.sto_values[0]
     result = run_trial(scenario, true_sto, cfg.master_seed)
 
@@ -312,7 +299,9 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     for snr_db in cfg.snr_axis:
         for cp_len in cfg.cp_axis:
             for channel_mode in cfg.channel_axis:
-                scenario = _build_scenario(cfg, snr_db, cp_len, channel_mode)
+                scenario = _cell_scenario(
+                    snr_db, cp_len, channel_mode, cfg.n_fft, cfg.methods, cfg.sto_values
+                )
                 stats = run_monte_carlo(scenario, cfg.n_trials, cfg.master_seed)
                 for method in cfg.methods:
                     m = stats.methods[method]

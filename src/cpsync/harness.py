@@ -115,9 +115,7 @@ class Scenario:
 class TrialResult:
     """Per-method decisions and full traces for one seeded trial."""
 
-    true_sto: int
     traces: dict[Method, MetricTrace]
-    seed: int
 
     @property
     def estimates(self) -> dict[Method, int]:
@@ -165,26 +163,37 @@ class ScenarioStats:
                 raise ValueError(f"histogram mass != n_trials for {method.value}")
 
 
+def _cell_scenario(
+    snr_db: float,
+    cp_len: int,
+    channel_mode: str,
+    n_fft: int = 128,
+    methods: tuple[Method, ...] = ALL_METHODS,
+    sto_values: tuple[int, ...] = DEFAULT_STO_VALUES,
+) -> Scenario:
+    """One grid cell. Its label seeds every trial; fixture cells keep the tag "rayleigh"."""
+    fixture = channel_mode == "rayleigh-fixture"
+    return Scenario(
+        label=f"snr{snr_db:g}_cp{cp_len}_{'rayleigh' if fixture else channel_mode}",
+        ofdm=OfdmParams(n_subcarriers=n_fft, cp_len=cp_len),
+        channel=ChannelScenario(snr_db=snr_db, cir_taps=CIR_FIXTURE if fixture else ()),
+        methods=methods,
+        sto_values=sto_values,
+        fresh_cir_per_trial=channel_mode == "rayleigh-random",
+    )
+
+
 def reference_scenarios(
     methods: tuple[Method, ...] = ALL_METHODS,
     sto_values: tuple[int, ...] = DEFAULT_STO_VALUES,
 ) -> list[Scenario]:
     """The canned 8-cell grid: {10, 2} dB x {CP 32, 16} x {AWGN, fixture CIR}."""
-    scenarios = []
-    for snr_db in (10.0, 2.0):
-        for cp_len in (32, 16):
-            for taps in ((), CIR_FIXTURE):
-                mode = "rayleigh" if taps else "awgn"
-                scenarios.append(
-                    Scenario(
-                        label=f"snr{snr_db:g}_cp{cp_len}_{mode}",
-                        ofdm=OfdmParams(n_subcarriers=128, cp_len=cp_len),
-                        channel=ChannelScenario(snr_db=snr_db, cir_taps=taps),
-                        methods=methods,
-                        sto_values=sto_values,
-                    )
-                )
-    return scenarios
+    return [
+        _cell_scenario(snr_db, cp_len, mode, methods=methods, sto_values=sto_values)
+        for snr_db in (10.0, 2.0)
+        for cp_len in (32, 16)
+        for mode in ("awgn", "rayleigh-fixture")
+    ]
 
 
 def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
@@ -207,7 +216,7 @@ def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
         # magnitude-based decisions match the CFO-free run exactly.
         stream = apply_cfo(stream, scenario.channel.cfo.epsilon, ofdm.n_subcarriers)
     traces = {m: estimate_sto(stream, default_config(stream, ofdm, m)) for m in scenario.methods}
-    return TrialResult(true_sto=true_sto, traces=traces, seed=seed)
+    return TrialResult(traces=traces)
 
 
 def run_monte_carlo(scenario: Scenario, n_trials: int, master_seed: int) -> ScenarioStats:

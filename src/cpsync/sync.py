@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .txgen import OfdmParams, SampleStream
+from .txgen import OfdmParams, SampleStream, _unchecked
 
 __all__ = [
     "Method",
@@ -104,7 +104,6 @@ class MetricTrace:
     offsets: np.ndarray
     values: np.ndarray
     argopt: int
-    opt_value: float
 
     def __post_init__(self) -> None:
         self.offsets = np.asarray(self.offsets, dtype=np.int64)
@@ -117,26 +116,26 @@ class MetricTrace:
             raise ValueError("offsets must be strictly increasing")
         if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
             raise ValueError("metric values must be finite and >= 0")
-        where = np.nonzero(self.offsets == self.argopt)[0]
-        if where.size != 1:
+        if not np.any(self.offsets == self.argopt):
             raise ValueError(f"argopt {self.argopt} is not a candidate offset")
-        if self.values[where[0]] != self.opt_value:
-            raise ValueError("opt_value does not match values at argopt")
 
-    @classmethod
-    def _unchecked(cls, offsets, values, argopt: int, opt_value: float) -> "MetricTrace":
-        """A trace that is valid by construction, built without __post_init__."""
-        trace = object.__new__(cls)
-        vars(trace).update(offsets=offsets, values=values, argopt=argopt, opt_value=opt_value)
-        return trace
+    @property
+    def opt_value(self) -> float:
+        """The metric value at argopt."""
+        return float(self.values[np.searchsorted(self.offsets, self.argopt)])
+
+
+def _search_limits(buffer_len: int, n: int, stride: int, symbols_averaged: int) -> tuple[int, int]:
+    """Widest candidate range whose reads, n + d to the last lag block's end, fit the buffer."""
+    return -n, buffer_len - n - symbols_averaged * stride
 
 
 def _check_window(stream: SampleStream, cfg: EstimatorConfig) -> None:
     """Reject a sweep whose lowest or highest touched index leaves the buffer."""
-    lo = cfg.n + cfg.search_min
-    # The last symbol's lag block ends cp_len + n_fft = stride samples after its start.
-    hi = cfg.n + cfg.symbols_averaged * cfg.stride + cfg.search_max - 1
-    if lo < 0 or hi >= stream.buffer_len:
+    lowest, highest = _search_limits(stream.buffer_len, cfg.n, cfg.stride, cfg.symbols_averaged)
+    if cfg.search_min < lowest or cfg.search_max > highest:
+        lo = cfg.n + cfg.search_min
+        hi = cfg.n + cfg.search_max + cfg.symbols_averaged * cfg.stride - 1
         raise ValueError(
             f"estimator window touches [{lo}, {hi}] which exceeds the "
             f"buffer [0, {stream.buffer_len})"
@@ -169,11 +168,10 @@ def _accumulated_pair_series(stream: SampleStream, cfg: EstimatorConfig) -> np.n
     return acc
 
 
-def _argopt(offsets: np.ndarray, values: np.ndarray, maximize: bool) -> tuple[int, float]:
-    opt = float(values.max() if maximize else values.min())
+def _argopt(offsets: np.ndarray, values: np.ndarray, maximize: bool) -> int:
+    opt = values.max() if maximize else values.min()
     ties = offsets[values == opt]
-    pick = min((int(d) for d in ties), key=lambda d: (abs(d), d))
-    return pick, opt
+    return min((int(d) for d in ties), key=lambda d: (abs(d), d))
 
 
 def estimate_sto(stream: SampleStream, cfg: EstimatorConfig) -> MetricTrace:
@@ -194,10 +192,10 @@ def estimate_sto(stream: SampleStream, cfg: EstimatorConfig) -> MetricTrace:
             f"{cfg.method.value} metric values are not finite: the stream's sums overflow"
         )
     offsets = cfg.offsets
-    argopt, opt_value = _argopt(offsets, values, cfg.method.maximizes)
+    argopt = _argopt(offsets, values, cfg.method.maximizes)
     # arange offsets, finite non-negative values and an argopt drawn from
     # them: the trace is valid by construction, so it skips re-validation.
-    return MetricTrace._unchecked(offsets, values, argopt, opt_value)
+    return _unchecked(MetricTrace, offsets=offsets, values=values, argopt=argopt)
 
 
 def _search_half_width(params: OfdmParams) -> int:
@@ -230,15 +228,10 @@ def default_config(
     """
     averaged = params.symbols_per_frame if symbols_averaged is None else symbols_averaged
     n = stream.sample_origin
-    stride = params.symbol_len
     half = _search_half_width(params)
-    search_min = max(-half, -n)
-    search_max = min(
-        half,
-        stream.buffer_len
-        - 1
-        - (n + (averaged - 1) * stride + params.cp_len - 1 + params.n_subcarriers),
-    )
+    lowest, highest = _search_limits(stream.buffer_len, n, params.symbol_len, averaged)
+    search_min = max(-half, lowest)
+    search_max = min(half, highest)
     if search_min > 0 or search_max < 0:
         raise ValueError(
             f"stream too short for any search window around sample_origin={n}"

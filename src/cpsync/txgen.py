@@ -14,7 +14,7 @@ Both constellations have exactly unit average power.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,8 +25,6 @@ __all__ = [
     "OfdmParams",
     "SampleStream",
     "map_bits",
-    "ofdm_symbol",
-    "add_cp",
     "build_frame",
 ]
 
@@ -73,6 +71,13 @@ class OfdmParams:
     def symbol_len(self) -> int:
         """CP-extended symbol length in samples."""
         return self.n_subcarriers + self.cp_len
+
+
+def _unchecked(cls, **fields):
+    """A dataclass instance that is valid by construction, built without __post_init__."""
+    obj = object.__new__(cls)
+    vars(obj).update(fields)
+    return obj
 
 
 @dataclass
@@ -129,12 +134,9 @@ class SampleStream:
         payload = self.branches[:, self.payload_start : self.payload_stop]
         return float(np.mean(np.mean(np.abs(payload) ** 2, axis=1)))
 
-    # Buffers are shared, not copied: impairments never mutate in place.
-    def with_branches(self, branches) -> "SampleStream":
-        return replace(self, branches=branches)
-
-    def with_origin(self, sample_origin: int) -> "SampleStream":
-        return replace(self, sample_origin=sample_origin)
+    def _derive(self, **changes) -> "SampleStream":
+        """This stream with fields changed and not re-validated; buffers are shared."""
+        return _unchecked(SampleStream, **{**vars(self), **changes})
 
 
 def map_bits(bits, constellation: Constellation) -> np.ndarray:
@@ -154,24 +156,6 @@ def map_bits(bits, constellation: Constellation) -> np.ndarray:
     i_level = _QAM16_LEVELS[(pairs[:, 0] << 1) | pairs[:, 1]]
     q_level = _QAM16_LEVELS[(pairs[:, 2] << 1) | pairs[:, 3]]
     return (i_level + 1j * q_level) * _QAM16_SCALE
-
-
-def ofdm_symbol(data, params: OfdmParams) -> np.ndarray:
-    """Time-domain body of one OFDM symbol: the inverse transform of data."""
-    arr = np.asarray(data, dtype=np.complex128)
-    if arr.size != params.n_subcarriers:
-        raise ValueError(
-            f"data has length {arr.size}, expected n_subcarriers={params.n_subcarriers}"
-        )
-    return idft(arr)
-
-
-def add_cp(symbol, cp_len: int) -> np.ndarray:
-    """Prepend the last cp_len samples of the symbol as its cyclic prefix."""
-    arr = np.asarray(symbol, dtype=np.complex128)
-    if not 0 < cp_len <= arr.size:
-        raise ValueError(f"cp_len must be in (0, {arr.size}], got {cp_len}")
-    return np.concatenate([arr[-cp_len:], arr])
 
 
 def build_frame(params: OfdmParams, seed: int) -> SampleStream:
@@ -195,6 +179,7 @@ def build_frame(params: OfdmParams, seed: int) -> SampleStream:
     symbols = buffer[0, n:payload_stop].reshape(count, params.symbol_len)
     symbols[:, :cp] = bodies[:, -cp:]
     symbols[:, cp:] = bodies
-    return SampleStream(
-        branches=buffer, sample_origin=n, payload_start=n, payload_stop=payload_stop
+    # Zeros plus the transform of unit-power points: finite by construction.
+    return _unchecked(
+        SampleStream, branches=buffer, sample_origin=n, payload_start=n, payload_stop=payload_stop
     )

@@ -2,12 +2,15 @@
 
 Everything here is deliberately written as direct summation / plain loops,
 independent of the library's vectorised paths, so the two routes check each
-other.
+other. ofdm_symbol and add_cp build a frame one symbol at a time, the
+reference composition for build_frame's stacked transform.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from cpsync import OfdmParams, idft
 
 
 def direct_dft(x: np.ndarray) -> np.ndarray:
@@ -30,6 +33,24 @@ def direct_idft(spectrum: np.ndarray) -> np.ndarray:
         kernel = np.exp(+2j * np.pi * m * np.arange(n) / n)
         out[m] = np.dot(spectrum, kernel) / n
     return out
+
+
+def ofdm_symbol(data, params: OfdmParams) -> np.ndarray:
+    """Time-domain body of one OFDM symbol: the inverse transform of data."""
+    arr = np.asarray(data, dtype=np.complex128)
+    if arr.size != params.n_subcarriers:
+        raise ValueError(
+            f"data has length {arr.size}, expected n_subcarriers={params.n_subcarriers}"
+        )
+    return idft(arr)
+
+
+def add_cp(symbol, cp_len: int) -> np.ndarray:
+    """Prepend the last cp_len samples of the symbol as its cyclic prefix."""
+    arr = np.asarray(symbol, dtype=np.complex128)
+    if not 0 < cp_len <= arr.size:
+        raise ValueError(f"cp_len must be in (0, {arr.size}], got {cp_len}")
+    return np.concatenate([arr[-cp_len:], arr])
 
 
 def brute_force_metric(

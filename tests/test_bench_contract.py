@@ -39,3 +39,7 @@ def test_traced_names_record_spans():
     } | {f"sync.estimate_sto.{m.value}" for m in Method}
     assert expected <= set(tracer.calls())
     assert harness.run_trial.__module__ == "cpsync.harness"
+    # Streams and traces the pipeline derives are valid by construction:
+    # no trial re-runs the public constructors' checks.
+    assert tracer.counts.get("txgen.SampleStream.validations", 0) == 0
+    assert tracer.counts.get("sync.MetricTrace.validations", 0) == 0

@@ -71,20 +71,18 @@ class TestConfigValidation:
 
 class TestMetricTraceValidation:
     def test_rejects_bad_structures(self):
-        good = dict(offsets=[-1, 0, 1], values=[1.0, 2.0, 3.0], argopt=1, opt_value=3.0)
-        MetricTrace(**good)
+        good = dict(offsets=[-1, 0, 1], values=[1.0, 2.0, 3.0], argopt=1)
+        assert MetricTrace(**good).opt_value == 3.0
         with pytest.raises(ValueError, match="strictly increasing"):
-            MetricTrace(offsets=[1, 0, -1], values=[1.0, 2.0, 3.0], argopt=1, opt_value=1.0)
+            MetricTrace(offsets=[1, 0, -1], values=[1.0, 2.0, 3.0], argopt=1)
         with pytest.raises(ValueError, match="finite"):
-            MetricTrace(offsets=[0, 1], values=[np.nan, 1.0], argopt=1, opt_value=1.0)
+            MetricTrace(offsets=[0, 1], values=[np.nan, 1.0], argopt=1)
         with pytest.raises(ValueError, match="finite"):
-            MetricTrace(offsets=[0, 1], values=[-0.5, 1.0], argopt=1, opt_value=1.0)
+            MetricTrace(offsets=[0, 1], values=[-0.5, 1.0], argopt=1)
         with pytest.raises(ValueError, match="not a candidate"):
-            MetricTrace(offsets=[0, 1], values=[1.0, 2.0], argopt=7, opt_value=1.0)
-        with pytest.raises(ValueError, match="opt_value"):
-            MetricTrace(offsets=[0, 1], values=[1.0, 2.0], argopt=1, opt_value=1.0)
+            MetricTrace(offsets=[0, 1], values=[1.0, 2.0], argopt=7)
         with pytest.raises(ValueError, match="equal length"):
-            MetricTrace(offsets=[0, 1, 2], values=[1.0, 2.0], argopt=1, opt_value=2.0)
+            MetricTrace(offsets=[0, 1, 2], values=[1.0, 2.0], argopt=1)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_estimator_traces_pass_public_validation(self, method):
@@ -191,7 +189,12 @@ class TestEstimate:
     def test_overflowing_metric_names_method(self, method):
         # Finite samples near 1e160 square past the float64 range in the sums.
         frame = build_frame(DEFAULT, seed=1)
-        stream = frame.with_branches(frame.branches * 1e160)
+        stream = SampleStream(
+            branches=frame.branches * 1e160,
+            sample_origin=frame.sample_origin,
+            payload_start=frame.payload_start,
+            payload_stop=frame.payload_stop,
+        )
         with pytest.raises(ValueError, match=f"{method.value} metric values are not finite"):
             estimate_sto(stream, default_config(stream, DEFAULT, method))
 
@@ -237,7 +240,12 @@ class TestInvariances:
     def test_scale_equivariance(self):
         stream = _noiseless(DEFAULT, 3, seed=50)
         c = 1.3 - 2.1j
-        scaled = stream.with_branches([b * c for b in stream.branches])
+        scaled = SampleStream(
+            branches=[b * c for b in stream.branches],
+            sample_origin=stream.sample_origin,
+            payload_start=stream.payload_start,
+            payload_stop=stream.payload_stop,
+        )
         for method in (Method.CBM, Method.DBM_MAGNITUDE):
             cfg = default_config(stream, DEFAULT, method)
             base = estimate_sto(stream, cfg)
@@ -283,19 +291,19 @@ class TestTieBreak:
     def test_prefers_smallest_absolute_offset(self):
         offsets = np.array([-2, -1, 0, 1, 2])
         values = np.array([3.0, 5.0, 3.0, 5.0, 3.0])
-        assert _argopt(offsets, values, maximize=False) == (0, 3.0)
-        assert _argopt(offsets, values, maximize=True) == (-1, 5.0)
+        assert _argopt(offsets, values, maximize=False) == 0
+        assert _argopt(offsets, values, maximize=True) == -1
 
     def test_prefers_smaller_offset_at_equal_magnitude(self):
         offsets = np.array([-1, 0, 1])
         values = np.array([7.0, 1.0, 7.0])
-        assert _argopt(offsets, values, maximize=True) == (-1, 7.0)
+        assert _argopt(offsets, values, maximize=True) == -1
 
     def test_unique_optimum_unaffected(self):
         offsets = np.array([-1, 0, 1])
         values = np.array([1.0, 2.0, 3.0])
-        assert _argopt(offsets, values, maximize=True) == (1, 3.0)
-        assert _argopt(offsets, values, maximize=False) == (-1, 1.0)
+        assert _argopt(offsets, values, maximize=True) == 1
+        assert _argopt(offsets, values, maximize=False) == -1
 
 
 @settings(max_examples=30, deadline=None)

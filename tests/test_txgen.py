@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpsync import Constellation, OfdmParams, add_cp, build_frame, map_bits, ofdm_symbol
+from cpsync import Constellation, OfdmParams, build_frame, map_bits
 
-from oracles import direct_idft
+from oracles import add_cp, direct_idft, ofdm_symbol
 
 SQRT2 = np.sqrt(2.0)
 SQRT10 = np.sqrt(10.0)
@@ -120,7 +120,7 @@ class TestOfdmSymbol:
 
 
 def _per_symbol_frame(params, seed):
-    """build_frame composed symbol by symbol from the public building blocks."""
+    """build_frame composed symbol by symbol from map_bits and the oracles."""
     rng = np.random.default_rng(seed)
     n = params.n_subcarriers
     symbols = []
