@@ -167,9 +167,9 @@ def _cell_scenario(
     snr_db: float,
     cp_len: int,
     channel_mode: str,
-    n_fft: int = 128,
-    methods: tuple[Method, ...] = ALL_METHODS,
-    sto_values: tuple[int, ...] = DEFAULT_STO_VALUES,
+    n_fft: int,
+    methods: tuple[Method, ...],
+    sto_values: tuple[int, ...],
 ) -> Scenario:
     """One grid cell. Its label seeds every trial; fixture cells keep the tag "rayleigh"."""
     fixture = channel_mode == "rayleigh-fixture"
@@ -189,7 +189,7 @@ def reference_scenarios(
 ) -> list[Scenario]:
     """The canned 8-cell grid: {10, 2} dB x {CP 32, 16} x {AWGN, fixture CIR}."""
     return [
-        _cell_scenario(snr_db, cp_len, mode, methods=methods, sto_values=sto_values)
+        _cell_scenario(snr_db, cp_len, mode, 128, methods, sto_values)
         for snr_db in (10.0, 2.0)
         for cp_len in (32, 16)
         for mode in ("awgn", "rayleigh-fixture")
