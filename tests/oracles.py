@@ -3,14 +3,16 @@
 Everything here is deliberately written as direct summation / plain loops,
 independent of the library's vectorised paths, so the two routes check each
 other. ofdm_symbol and add_cp build a frame one symbol at a time, the
-reference composition for build_frame's stacked transform.
+reference composition for build_frame's stacked transform;
+accumulated_pair_series sums the estimators' pair terms one (branch, symbol)
+row at a time, the reference order for estimate_sto's strided gather.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from cpsync import OfdmParams, idft
+from cpsync import Method, OfdmParams, idft
 
 
 def direct_dft(x: np.ndarray) -> np.ndarray:
@@ -51,6 +53,31 @@ def add_cp(symbol, cp_len: int) -> np.ndarray:
     if not 0 < cp_len <= arr.size:
         raise ValueError(f"cp_len must be in (0, {arr.size}], got {cp_len}")
     return np.concatenate([arr[-cp_len:], arr])
+
+
+def accumulated_pair_series(branches, cfg) -> np.ndarray:
+    """Per-index pair statistic summed one (branch, symbol) row at a time.
+
+    Rows are added to a zero accumulator branch-major, then symbol, in
+    sequence: the order estimate_sto must keep bit for bit.
+    """
+    span = cfg.search_max - cfg.search_min + cfg.cp_len
+    if cfg.method is Method.CBM:
+        acc = np.zeros(span, dtype=np.complex128)
+    else:
+        acc = np.zeros(span, dtype=np.float64)
+    for y in branches:
+        for s in range(cfg.symbols_averaged):
+            b = cfg.n + s * cfg.stride + cfg.search_min
+            lead = y[b : b + span]
+            lag = y[b + cfg.n_fft : b + cfg.n_fft + span]
+            if cfg.method is Method.CBM:
+                acc += lead * np.conj(lag)
+            elif cfg.method is Method.DBM_LITERAL:
+                acc += np.abs(lead - np.conj(lag)) ** 2
+            else:
+                acc += (np.abs(lead) - np.abs(lag)) ** 2
+    return acc
 
 
 def brute_force_metric(

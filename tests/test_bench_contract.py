@@ -3,13 +3,34 @@
 perfbench/tracer.py times each layer by patching module-level names such as
 ``harness.apply_cir`` and ``txgen.idft``. A rename in the program breaks the
 benchmark; this test makes it break here first. It only reads perfbench/.
+
+perfbench/run.py's oracle check captures ``harness.estimate_sto`` and
+recomputes every captured trace with tests/oracles.brute_force_metric, so
+run_trial must hand that name one stream and config per method.
 """
 
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
-from cpsync import Method, cli, harness, reference_scenarios, sync, txgen
+import math
+
+from cpsync import (
+    CfoParams,
+    ChannelScenario,
+    EstimatorConfig,
+    Method,
+    OfdmParams,
+    SampleStream,
+    Scenario,
+    cli,
+    harness,
+    reference_scenarios,
+    sync,
+    txgen,
+)
+
+from oracles import brute_force_metric, relative_error
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -43,3 +64,40 @@ def test_traced_names_record_spans():
     # no trial re-runs the public constructors' checks.
     assert tracer.counts.get("txgen.SampleStream.validations", 0) == 0
     assert tracer.counts.get("sync.MetricTrace.validations", 0) == 0
+
+
+def test_run_trial_hands_estimate_sto_one_call_per_method(monkeypatch):
+    captured = []
+    original = harness.estimate_sto
+
+    def capture(stream, cfg, *args, **kwargs):
+        trace = original(stream, cfg, *args, **kwargs)
+        captured.append((stream, cfg, trace))
+        return trace
+
+    monkeypatch.setattr(harness, "estimate_sto", capture)
+    fixture = next(s for s in reference_scenarios() if s.channel_mode == "rayleigh-fixture")
+    diversity = Scenario(
+        label="contract-rx3-cfo",
+        ofdm=OfdmParams(n_subcarriers=64, cp_len=16),
+        channel=ChannelScenario(snr_db=2.0, cfo=CfoParams(0.2), rx_branches=3),
+    )
+    noiseless = Scenario(
+        label="contract-noiseless",
+        ofdm=OfdmParams(n_subcarriers=64, cp_len=8),
+        channel=ChannelScenario(snr_db=math.inf),
+        methods=(Method.DBM_LITERAL, Method.CBM),
+    )
+    for scenario, sto in ((fixture, 3), (diversity, -2), (noiseless, 1)):
+        captured.clear()
+        result = harness.run_trial(scenario, sto, seed=11)
+        assert [cfg.method for _, cfg, _ in captured] == list(scenario.methods)
+        for stream, cfg, trace in captured:
+            assert type(stream) is SampleStream and type(cfg) is EstimatorConfig
+            expected = [
+                brute_force_metric(stream.branches, cfg.n, cfg.n_fft, cfg.cp_len,
+                                   cfg.symbols_averaged, int(d), cfg.method.value)
+                for d in trace.offsets
+            ]
+            assert relative_error(trace.values, expected) < 1e-10
+            assert result.traces[cfg.method] is trace

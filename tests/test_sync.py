@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +24,7 @@ from cpsync import (
 )
 from cpsync.sync import _argopt
 
-from oracles import brute_force_metric, relative_error
+from oracles import accumulated_pair_series, brute_force_metric, relative_error
 
 SMALL = OfdmParams(n_subcarriers=32, cp_len=8, symbols_per_frame=2)
 DEFAULT = OfdmParams(n_subcarriers=128, cp_len=32)
@@ -236,6 +237,57 @@ class TestOracleEquivalence:
                 assert got == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
+def _row_by_row_trace(stream, cfg):
+    """Values and argopt from the per-row accumulation and a sliding-window sum."""
+    series = accumulated_pair_series(stream.branches, cfg)
+    windows = sliding_window_view(series, cfg.cp_len).sum(axis=1)
+    values = np.abs(windows) if cfg.method is Method.CBM else windows
+    opt = values.max() if cfg.method.maximizes else values.min()
+    ties = cfg.offsets[values == opt]
+    return values, min((int(d) for d in ties), key=lambda d: (abs(d), d))
+
+
+def _bit_exact_streams():
+    """Streams whose traces must equal the row-by-row reference byte for byte."""
+    for params in (OfdmParams(128, 16), OfdmParams(1024, 72)):
+        frame = apply_sto(build_frame(params, seed=params.n_subcarriers), 3)
+        for branches in (1, 3, 16):
+            for seed in range(3):
+                wide = replicate_branches(frame, branches) if branches > 1 else frame
+                yield params, add_awgn(wide, 2.0, seed=seed)
+        # A broadcast view: every row shares one buffer (row stride 0).
+        yield params, add_awgn(replicate_branches(frame, 16), np.inf, seed=0)
+        noisy = add_awgn(replicate_branches(frame, 3), 0.0, seed=7)
+        fields = dict(sample_origin=noisy.sample_origin, payload_start=noisy.payload_start,
+                      payload_stop=noisy.payload_stop)
+        yield params, SampleStream(branches=np.asfortranarray(noisy.branches), **fields)
+        reversed_copy = noisy.branches[:, ::-1].copy()
+        yield params, SampleStream(branches=reversed_copy[:, ::-1], **fields)
+
+
+class TestBitExactAccumulation:
+    """estimate_sto keeps the branch-major, then symbol, sequential row order."""
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_values_equal_row_by_row_reference(self, method):
+        for params, stream in _bit_exact_streams():
+            cfg = default_config(stream, params, method)
+            trace = estimate_sto(stream, cfg)
+            values, argopt = _row_by_row_trace(stream, cfg)
+            assert trace.values.tobytes() == values.tobytes()
+            assert trace.argopt == argopt
+
+    def test_streams_cover_strided_layouts(self):
+        layouts = {
+            (s.n_branches, s.branches.strides[0] == 0, s.branches.flags.f_contiguous and
+             s.n_branches > 1, s.branches.strides[1] < 0)
+            for _, s in _bit_exact_streams()
+        }
+        assert (16, True, False, False) in layouts  # broadcast view
+        assert (3, False, True, False) in layouts  # Fortran order
+        assert (3, False, False, True) in layouts  # negative column stride
+
+
 class TestInvariances:
     def test_scale_equivariance(self):
         stream = _noiseless(DEFAULT, 3, seed=50)
@@ -298,6 +350,20 @@ class TestTieBreak:
         offsets = np.array([-1, 0, 1])
         values = np.array([7.0, 1.0, 7.0])
         assert _argopt(offsets, values, maximize=True) == -1
+
+    def test_maximum_ties_not_resolved_by_first_index(self):
+        # np.argmax alone would return the first maximum, at -2.
+        offsets = np.array([-2, -1, 0, 1, 2])
+        values = np.array([9.0, 1.0, 4.0, 9.0, 1.0])
+        assert offsets[np.argmax(values)] == -2
+        assert _argopt(offsets, values, maximize=True) == 1
+
+    def test_single_tie_returned_as_int(self):
+        offsets = np.arange(-3, 4)
+        values = np.array([5.0, 4.0, 6.0, 2.0, 7.0, 8.0, 3.0])
+        for maximize, expected in ((True, 2), (False, 0)):
+            got = _argopt(offsets, values, maximize)
+            assert got == expected and type(got) is int
 
     def test_unique_optimum_unaffected(self):
         offsets = np.array([-1, 0, 1])
