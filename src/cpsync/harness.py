@@ -32,8 +32,15 @@ from .channel import (
     replicate_branches,
 )
 from .spectral import dft
-from .sync import Method, MetricTrace, check_search_offset, default_config, estimate_sto
-from .txgen import OfdmParams, build_frame
+from .sync import (
+    EstimatorConfig,
+    Method,
+    MetricTrace,
+    check_search_offset,
+    default_config,
+    estimate_sto,
+)
+from .txgen import OfdmParams, _unchecked, build_frame
 
 __all__ = [
     "ALL_METHODS",
@@ -215,7 +222,12 @@ def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
         # Receiver-mixer model: the rotation hits signal and noise alike, so
         # magnitude-based decisions match the CFO-free run exactly.
         stream = apply_cfo(stream, scenario.channel.cfo.epsilon, ofdm.n_subcarriers)
-    traces = {m: estimate_sto(stream, default_config(stream, ofdm, m)) for m in scenario.methods}
+    # One window per trial: the methods' configs differ only in method.
+    window = vars(default_config(stream, ofdm, scenario.methods[0]))
+    traces = {
+        m: estimate_sto(stream, _unchecked(EstimatorConfig, **{**window, "method": m}))
+        for m in scenario.methods
+    }
     return TrialResult(traces=traces)
 
 

@@ -26,6 +26,11 @@ to be larger. For example, the noiseless 128/32 frame built from seed
 derive_seed(0, "noiseless-exactness", 21) and shifted by 21 scores 132.364
 at offset 22 against 131.770 at 21, so CBM's arg max is 22.
 
+The sums run in one fixed order: each (branch, symbol) row of per-index
+terms is added to the running total branch-major, then symbol, one row
+after another. Every output is bit-for-bit that of a plain loop over the
+rows, so that order is part of the contract.
+
 Ties are broken toward the smallest |d|, then the smaller d.
 """
 
@@ -35,7 +40,7 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .txgen import OfdmParams, SampleStream, _unchecked
 
@@ -142,35 +147,51 @@ def _check_window(stream: SampleStream, cfg: EstimatorConfig) -> None:
         )
 
 
+def _magnitude(z: np.ndarray, step: int) -> np.ndarray:
+    """|z| with the bits np.abs gives on one row of a stream with this column step.
+
+    On a 1-D row with a negative step numpy's abs runs its scalar hypot loop;
+    on a view with more dimensions it runs its vector loop, whose last bit
+    can differ.
+    """
+    return np.abs(z) if step >= 0 else np.hypot(z.real, z.imag)
+
+
 def _accumulated_pair_series(stream: SampleStream, cfg: EstimatorConfig) -> np.ndarray:
     """Per-index pair statistic summed over branches and symbol periods.
 
     Index i of the result corresponds to candidate-relative position
     search_min + i; a window sum of cp_len consecutive entries is the metric
-    for one candidate.
+    for one candidate. Every lead block and its lag-n_fft partner are read
+    through one (branches, symbols, lead|lag, span) view of the stream's
+    own buffer.
     """
     span = cfg.search_max - cfg.search_min + cfg.cp_len
+    y = stream.branches[:, cfg.n + cfg.search_min :]
+    row_step, step = y.strides
+    pairs = as_strided(
+        y,
+        (stream.n_branches, cfg.symbols_averaged, 2, span),
+        (row_step, cfg.stride * step, cfg.n_fft * step, step),
+        writeable=False,
+    )
+    lead, lag = pairs[:, :, 0], pairs[:, :, 1]
     if cfg.method is Method.CBM:
-        acc = np.zeros(span, dtype=np.complex128)
+        # out=: numpy's temporary elision would swap the operands and change last bits.
+        term = np.multiply(lead, np.conj(lag), out=np.empty(lead.shape, dtype=np.complex128))
+    elif cfg.method is Method.DBM_LITERAL:
+        term = np.abs(lead - np.conj(lag)) ** 2
     else:
-        acc = np.zeros(span, dtype=np.float64)
-    for y in stream.branches:
-        for s in range(cfg.symbols_averaged):
-            b = cfg.n + s * cfg.stride + cfg.search_min
-            lead = y[b : b + span]
-            lag = y[b + cfg.n_fft : b + cfg.n_fft + span]
-            if cfg.method is Method.CBM:
-                acc += lead * np.conj(lag)
-            elif cfg.method is Method.DBM_LITERAL:
-                acc += np.abs(lead - np.conj(lag)) ** 2
-            else:
-                acc += (np.abs(lead) - np.abs(lag)) ** 2
-    return acc
+        term = (_magnitude(lead, step) - _magnitude(lag, step)) ** 2
+    # accumulate adds row after row by definition, the order of the contract.
+    return np.add.accumulate(term.reshape(-1, span), axis=0)[-1]
 
 
 def _argopt(offsets: np.ndarray, values: np.ndarray, maximize: bool) -> int:
     opt = values.max() if maximize else values.min()
     ties = offsets[values == opt]
+    if ties.size == 1:
+        return int(ties[0])
     return min((int(d) for d in ties), key=lambda d: (abs(d), d))
 
 
@@ -182,7 +203,9 @@ def estimate_sto(stream: SampleStream, cfg: EstimatorConfig) -> MetricTrace:
     """
     _check_window(stream, cfg)
     series = _accumulated_pair_series(stream, cfg)
-    windows = sliding_window_view(series, cfg.cp_len).sum(axis=1)
+    step = series.strides[0]
+    width = series.size - cfg.cp_len + 1
+    windows = as_strided(series, (width, cfg.cp_len), (step, step)).sum(axis=1)
     if cfg.method is Method.CBM:
         values = np.abs(windows)
     else:

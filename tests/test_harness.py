@@ -9,6 +9,7 @@ from cpsync import (
     CIR_FIXTURE,
     CfoParams,
     ChannelScenario,
+    EstimatorConfig,
     Method,
     MethodStats,
     OfdmParams,
@@ -147,6 +148,19 @@ class TestRunTrial:
         )
         result = run_trial(scenario, 2, seed=3)
         assert result.estimates[Method.DBM_MAGNITUDE] == 2
+
+    def test_one_estimator_window_per_trial(self, monkeypatch):
+        built = []
+        original = EstimatorConfig.__post_init__
+
+        def counting(cfg):
+            built.append(cfg.method)
+            original(cfg)
+
+        monkeypatch.setattr(EstimatorConfig, "__post_init__", counting)
+        result = run_trial(reference_scenarios()[1], 3, seed=4)
+        assert list(result.traces) == list(Method)
+        assert built == [Method.CBM]
 
     def test_fresh_cir_mode_draws_per_trial(self):
         scenario = Scenario(
