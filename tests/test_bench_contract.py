@@ -10,10 +10,9 @@ run_trial must hand that name one stream and config per method.
 """
 
 import importlib.util
+import math
 from pathlib import Path
 from types import SimpleNamespace
-
-import math
 
 from cpsync import (
     CfoParams,
