@@ -17,7 +17,7 @@ hash() is salted per process and is deliberately not used.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -32,15 +32,8 @@ from .channel import (
     replicate_branches,
 )
 from .spectral import dft
-from .sync import (
-    EstimatorConfig,
-    Method,
-    MetricTrace,
-    check_search_offset,
-    default_config,
-    estimate_sto,
-)
-from .txgen import OfdmParams, _unchecked, build_frame
+from .sync import Method, MetricTrace, check_search_offset, default_config, estimate_sto
+from .txgen import OfdmParams, build_frame
 
 __all__ = [
     "ALL_METHODS",
@@ -223,11 +216,8 @@ def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
         # magnitude-based decisions match the CFO-free run exactly.
         stream = apply_cfo(stream, scenario.channel.cfo.epsilon, ofdm.n_subcarriers)
     # One window per trial: the methods' configs differ only in method.
-    window = vars(default_config(stream, ofdm, scenario.methods[0]))
-    traces = {
-        m: estimate_sto(stream, _unchecked(EstimatorConfig, **{**window, "method": m}))
-        for m in scenario.methods
-    }
+    cfg = default_config(stream, ofdm, scenario.methods[0])
+    traces = {m: estimate_sto(stream, replace(cfg, method=m)) for m in scenario.methods}
     return TrialResult(traces=traces)
 
 

@@ -190,8 +190,6 @@ def _accumulated_pair_series(stream: SampleStream, cfg: EstimatorConfig) -> np.n
 def _argopt(offsets: np.ndarray, values: np.ndarray, maximize: bool) -> int:
     opt = values.max() if maximize else values.min()
     ties = offsets[values == opt]
-    if ties.size == 1:
-        return int(ties[0])
     return min((int(d) for d in ties), key=lambda d: (abs(d), d))
 
 
@@ -203,6 +201,7 @@ def estimate_sto(stream: SampleStream, cfg: EstimatorConfig) -> MetricTrace:
     """
     _check_window(stream, cfg)
     series = _accumulated_pair_series(stream, cfg)
+    # series holds span >= cp_len entries, so every window lies inside it.
     step = series.strides[0]
     width = series.size - cfg.cp_len + 1
     windows = as_strided(series, (width, cfg.cp_len), (step, step)).sum(axis=1)

@@ -139,24 +139,6 @@ class SampleStream:
         return _unchecked(SampleStream, **{**vars(self), **changes})
 
 
-def _point_table(constellation: Constellation) -> np.ndarray:
-    """The point of every bit pattern, indexed by the pattern read b0 first."""
-    pattern = np.arange(1 << constellation.bits_per_symbol)
-    if constellation is Constellation.QPSK:
-        return ((1 - 2 * (pattern >> 1)) + 1j * (1 - 2 * (pattern & 1))) * _QPSK_SCALE
-    return (_QAM16_LEVELS[pattern >> 2] + 1j * _QAM16_LEVELS[pattern & 3]) * _QAM16_SCALE
-
-
-_POINT_TABLES = {c: _point_table(c) for c in Constellation}
-
-
-def _lookup_points(bits: np.ndarray, constellation: Constellation) -> np.ndarray:
-    """Points for an array of 0/1 bits whose size is a multiple of bits_per_symbol."""
-    k = constellation.bits_per_symbol
-    pattern = bits.reshape(-1, k) @ (1 << np.arange(k - 1, -1, -1))
-    return _POINT_TABLES[constellation][pattern]
-
-
 def map_bits(bits, constellation: Constellation) -> np.ndarray:
     """Map a bit vector to Gray-coded unit-average-power constellation points."""
     b = np.asarray(bits, dtype=np.int64).ravel()
@@ -168,7 +150,12 @@ def map_bits(bits, constellation: Constellation) -> np.ndarray:
             f"bit count {b.size} is not divisible by {k} "
             f"(bits per {constellation.value} symbol)"
         )
-    return _lookup_points(b, constellation)
+    pairs = b.reshape(-1, k)
+    if constellation is Constellation.QPSK:
+        return ((1 - 2 * pairs[:, 0]) + 1j * (1 - 2 * pairs[:, 1])) * _QPSK_SCALE
+    i_level = _QAM16_LEVELS[(pairs[:, 0] << 1) | pairs[:, 1]]
+    q_level = _QAM16_LEVELS[(pairs[:, 2] << 1) | pairs[:, 3]]
+    return (i_level + 1j * q_level) * _QAM16_SCALE
 
 
 def build_frame(params: OfdmParams, seed: int) -> SampleStream:
@@ -186,8 +173,7 @@ def build_frame(params: OfdmParams, seed: int) -> SampleStream:
     rng = np.random.default_rng(seed)
     n, cp, count = params.n_subcarriers, params.cp_len, params.symbols_per_frame
     bits = rng.integers(0, 2, size=(count, n * params.constellation.bits_per_symbol))
-    # rng.integers(0, 2) draws only 0s and 1s, so the bits skip map_bits's checks.
-    bodies = idft(_lookup_points(bits, params.constellation).reshape(count, n) * np.sqrt(n))
+    bodies = idft(map_bits(bits, params.constellation).reshape(count, n) * np.sqrt(n))
     payload_stop = n + count * params.symbol_len
     buffer = np.zeros((1, payload_stop + n), dtype=np.complex128)
     symbols = buffer[0, n:payload_stop].reshape(count, params.symbol_len)

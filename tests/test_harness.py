@@ -9,13 +9,14 @@ from cpsync import (
     CIR_FIXTURE,
     CfoParams,
     ChannelScenario,
-    EstimatorConfig,
     Method,
     MethodStats,
     OfdmParams,
     Scenario,
+    default_config,
     derive_seed,
     freq_response,
+    harness,
     reference_scenarios,
     run_monte_carlo,
     run_trial,
@@ -149,18 +150,20 @@ class TestRunTrial:
         result = run_trial(scenario, 2, seed=3)
         assert result.estimates[Method.DBM_MAGNITUDE] == 2
 
-    def test_one_estimator_window_per_trial(self, monkeypatch):
-        built = []
-        original = EstimatorConfig.__post_init__
+    def test_every_method_gets_the_default_window(self, monkeypatch):
+        seen = []
+        original = harness.estimate_sto
 
-        def counting(cfg):
-            built.append(cfg.method)
-            original(cfg)
+        def capture(stream, cfg):
+            seen.append((stream, cfg))
+            return original(stream, cfg)
 
-        monkeypatch.setattr(EstimatorConfig, "__post_init__", counting)
-        result = run_trial(reference_scenarios()[1], 3, seed=4)
-        assert list(result.traces) == list(Method)
-        assert built == [Method.CBM]
+        monkeypatch.setattr(harness, "estimate_sto", capture)
+        scenario = reference_scenarios()[1]
+        result = run_trial(scenario, 3, seed=4)
+        assert list(result.traces) == [cfg.method for _, cfg in seen] == list(Method)
+        for stream, cfg in seen:
+            assert cfg == default_config(stream, scenario.ofdm, cfg.method)
 
     def test_fresh_cir_mode_draws_per_trial(self):
         scenario = Scenario(
