@@ -287,3 +287,51 @@ class TestConfigFile:
                        "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand,values", [
+        ("sweep", {"trials": "3", "snr-db": "2", "cp": "16", "channel": "rayleigh-fixture",
+                   "sto": "3,-2", "method": "dbm-mag", "n": "64", "seed": "21"}),
+        ("trace", {"snr-db": "2", "cp": "16", "channel": "rayleigh-random", "sto": "-3",
+                   "method": "all", "n": "128", "seed": "11"}),
+        ("response", {"taps": "1,0.5-0.25j", "points": "32", "seed": "4"}),
+    ])
+    def test_config_matches_flags_byte_for_byte(self, tmp_path, subcommand, values):
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+        by_flag, by_config = tmp_path / "flag.csv", tmp_path / "config.csv"
+        flags = [f"--{key}={value}" for key, value in values.items()]
+        assert run_cli(subcommand, *flags, "--out", str(by_flag)) == 0
+        assert run_cli(subcommand, "--config", str(config), "--out", str(by_config)) == 0
+        assert by_config.read_bytes() == by_flag.read_bytes()
+
+    @pytest.mark.parametrize("subcommand,key", [
+        *(("trace", key) for key in ("seed", "n", "cp", "snr_db")),
+        *(("sweep", key) for key in ("seed", "n", "cp", "snr_db", "trials")),
+        ("response", "seed"),
+        ("response", "points"),
+    ])
+    def test_non_numeric_config_value_names_config_and_key(self, tmp_path, capsys,
+                                                           subcommand, key):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = many\n")
+        code = run_cli(subcommand, "--config", str(config), "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        err = capsys.readouterr().err.replace("-", "_")
+        assert "config" in err and key in err
+
+    def test_config_snr_that_cannot_size_noise_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("snr_db = -inf\n")
+        code = run_cli("sweep", "--config", str(config), "--trials", "1",
+                       "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert "snr-db:" in capsys.readouterr().err
+
+    def test_trace_runs_with_a_key_only_response_takes(self, tmp_path):
+        # One config file can serve several subcommands.
+        config = tmp_path / "run.cfg"
+        config.write_text("points = 9\nsto = 3\n")
+        out = tmp_path / "trace.csv"
+        assert run_cli("trace", "--config", str(config), "--out", str(out)) == 0
+        comments, _ = read_csv(out)
+        assert any("true_sto=3" in c for c in comments)
