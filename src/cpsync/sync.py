@@ -147,16 +147,6 @@ def _check_window(stream: SampleStream, cfg: EstimatorConfig) -> None:
         )
 
 
-def _magnitude(z: np.ndarray, step: int) -> np.ndarray:
-    """|z| with the bits np.abs gives on one row of a stream with this column step.
-
-    On a 1-D row with a negative step numpy's abs runs its scalar hypot loop;
-    on a view with more dimensions it runs its vector loop, whose last bit
-    can differ.
-    """
-    return np.abs(z) if step >= 0 else np.hypot(z.real, z.imag)
-
-
 def _accumulated_pair_series(stream: SampleStream, cfg: EstimatorConfig) -> np.ndarray:
     """Per-index pair statistic summed over branches and symbol periods.
 
@@ -182,7 +172,7 @@ def _accumulated_pair_series(stream: SampleStream, cfg: EstimatorConfig) -> np.n
     elif cfg.method is Method.DBM_LITERAL:
         term = np.abs(lead - np.conj(lag)) ** 2
     else:
-        term = (_magnitude(lead, step) - _magnitude(lag, step)) ** 2
+        term = (np.abs(lead) - np.abs(lag)) ** 2
     # accumulate adds row after row by definition, the order of the contract.
     return np.add.accumulate(term.reshape(-1, span), axis=0)[-1]
 

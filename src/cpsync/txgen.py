@@ -84,7 +84,8 @@ def _unchecked(cls, **fields):
 class SampleStream:
     """Complex baseband buffer of shape (n_branches, buffer_len), one row per branch.
 
-    A list of equal-length 1-D arrays is accepted and stacked into rows.
+    A list of equal-length 1-D arrays is accepted and stacked into rows. The
+    rows are stored C-contiguous: an array of any other layout is copied.
     sample_origin is the receiver's nominal start of symbol 0 (index of its
     first CP sample). payload_start/payload_stop bound the region that
     actually carries signal (everything outside is zero guard padding); the
@@ -98,7 +99,7 @@ class SampleStream:
 
     def __post_init__(self) -> None:
         try:
-            self.branches = np.asarray(self.branches, dtype=np.complex128)
+            self.branches = np.ascontiguousarray(self.branches, dtype=np.complex128)
         except ValueError as err:  # e.g. a ragged list of branches
             raise ValueError(f"branches must be numeric and share one shape: {err}") from None
         shape = self.branches.shape
