@@ -2,6 +2,7 @@
 
 import csv
 import io
+import re
 from pathlib import Path
 
 import numpy as np
@@ -317,7 +318,8 @@ class TestConfigFile:
         code = run_cli(subcommand, "--config", str(config), "--out", str(tmp_path / "x.csv"))
         assert code == 2
         err = capsys.readouterr().err.replace("-", "_")
-        assert "config" in err and key in err
+        assert "config" in err
+        assert re.search(rf"(?<![a-z]){key}(?![a-z])", err)
 
     def test_config_snr_that_cannot_size_noise_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
