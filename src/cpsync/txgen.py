@@ -99,7 +99,7 @@ class SampleStream:
 
     def __post_init__(self) -> None:
         try:
-            self.branches = np.ascontiguousarray(self.branches, dtype=np.complex128)
+            self.branches = np.asarray(self.branches, dtype=np.complex128, order="C")
         except ValueError as err:  # e.g. a ragged list of branches
             raise ValueError(f"branches must be numeric and share one shape: {err}") from None
         shape = self.branches.shape
