@@ -375,9 +375,8 @@ class TestTieBreak:
     delta=st.integers(min_value=-8, max_value=8),
     seed=st.integers(min_value=0, max_value=2**32 - 1),
 )
-# Frames whose null at delta is shared with delta + 1: a body sample that is
-# exactly 0 still matches the zero guard one sample late, and the tie rule
-# then picks the other null.
+# Frames whose trace is exactly 0.0 at delta and at delta + 1, where the tie
+# rule picks delta + 1.
 @example(cp_len=8, delta=-1, seed=225717)
 @example(cp_len=8, delta=-8, seed=259)
 def test_dbm_magnitude_recovers_any_offset_noiselessly(cp_len, delta, seed):
