@@ -29,7 +29,9 @@ at offset 22 against 131.770 at 21, so CBM's arg max is 22.
 The sums run in one fixed order: each (branch, symbol) row of per-index
 terms is added to the running total branch-major, then symbol, one row
 after another. Every output is bit-for-bit that of a plain loop over the
-rows, so that order is part of the contract.
+rows, so that order is part of the contract. The block pairs are read
+through one as_strided view of the stream, and the candidate windows
+through one np.ndarray view of the accumulated series; neither copies.
 
 Ties are broken toward the smallest |d|, then the smaller d.
 """
@@ -173,7 +175,8 @@ def _accumulated_pair_series(stream: SampleStream, cfg: EstimatorConfig) -> np.n
         term = np.abs(lead - np.conj(lag)) ** 2
     else:
         term = (np.abs(lead) - np.abs(lag)) ** 2
-    # accumulate adds row after row by definition, the order of the contract.
+    # accumulate adds row after row by definition, the order of the contract;
+    # reduce sums the rows pairwise when span is 1, which changes the last bits.
     return np.add.accumulate(term.reshape(-1, span), axis=0)[-1]
 
 
@@ -191,10 +194,11 @@ def estimate_sto(stream: SampleStream, cfg: EstimatorConfig) -> MetricTrace:
     """
     _check_window(stream, cfg)
     series = _accumulated_pair_series(stream, cfg)
-    # series holds span >= cp_len entries, so every window lies inside it.
-    step = series.strides[0]
+    # series holds span >= cp_len entries, so every window lies inside it;
+    # np.ndarray over its buffer skips as_strided's per-call overhead.
+    step = series.itemsize
     width = series.size - cfg.cp_len + 1
-    windows = as_strided(series, (width, cfg.cp_len), (step, step)).sum(axis=1)
+    windows = np.ndarray((width, cfg.cp_len), series.dtype, series, 0, (step, step)).sum(axis=1)
     if cfg.method is Method.CBM:
         values = np.abs(windows)
     else:

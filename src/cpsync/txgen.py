@@ -30,6 +30,8 @@ __all__ = [
 
 _QPSK_SCALE = 1.0 / np.sqrt(2.0)
 _QAM16_SCALE = 1.0 / np.sqrt(10.0)
+# QPSK points indexed by (b0 << 1) | b1, from the docstring's expression.
+_QPSK_POINTS = ((1 - 2 * (np.arange(4) >> 1)) + 1j * (1 - 2 * (np.arange(4) & 1))) * _QPSK_SCALE
 # Gray-coded amplitude levels indexed by the 2-bit pattern (b_hi << 1) | b_lo.
 _QAM16_LEVELS = np.array([-3.0, -1.0, 3.0, 1.0])
 
@@ -133,7 +135,9 @@ class SampleStream:
         if self.payload_stop == self.payload_start:
             raise ValueError("stream has an empty payload region")
         payload = self.branches[:, self.payload_start : self.payload_stop]
-        return float(np.mean(np.mean(np.abs(payload) ** 2, axis=1)))
+        # np.mean's own arithmetic, a sum and one division per level, without its wrapper.
+        row_means = np.add.reduce(np.abs(payload) ** 2, axis=1) / payload.shape[1]
+        return float(np.add.reduce(row_means) / row_means.size)
 
     def _derive(self, **changes) -> "SampleStream":
         """This stream with fields changed and not re-validated; buffers are shared."""
@@ -153,7 +157,7 @@ def map_bits(bits, constellation: Constellation) -> np.ndarray:
         )
     pairs = b.reshape(-1, k)
     if constellation is Constellation.QPSK:
-        return ((1 - 2 * pairs[:, 0]) + 1j * (1 - 2 * pairs[:, 1])) * _QPSK_SCALE
+        return _QPSK_POINTS[(pairs[:, 0] << 1) | pairs[:, 1]]
     i_level = _QAM16_LEVELS[(pairs[:, 0] << 1) | pairs[:, 1]]
     q_level = _QAM16_LEVELS[(pairs[:, 2] << 1) | pairs[:, 3]]
     return (i_level + 1j * q_level) * _QAM16_SCALE

@@ -284,6 +284,35 @@ class TestBitExactAccumulation:
             layouts.add(broadcast)
         assert layouts == {True, False}
 
+    @pytest.mark.parametrize("method", list(Method))
+    def test_span_one_keeps_row_after_row_order(self, method):
+        # One index per row: np.add.reduce would sum the 12 rows pairwise
+        # (unrolled), which changes the last bits; accumulate adds them in turn.
+        cfg = EstimatorConfig(method, 0, 0, n=4, n_fft=8, cp_len=1, symbols_averaged=4)
+        for seed in range(5):
+            stream = _noise_stream(48, seed=seed, branches=3)
+            trace = estimate_sto(stream, cfg)
+            values, argopt = _row_by_row_trace(stream, cfg)
+            assert trace.values.tobytes() == values.tobytes()
+            assert trace.argopt == argopt
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_row_slice_and_read_only_streams(self, method):
+        big = _noise_stream(320, seed=60, branches=5).branches
+        frozen = big[1:3].copy()
+        frozen.flags.writeable = False
+        for branches in (big[1:3], frozen):
+            stream = SampleStream(branches=branches, sample_origin=96)
+            assert stream.branches.flags.c_contiguous
+            before = stream.branches.copy()
+            cfg = EstimatorConfig(method, -12, 12, n=96, n_fft=32, cp_len=8, symbols_averaged=3)
+            trace = estimate_sto(stream, cfg)
+            values, argopt = _row_by_row_trace(stream, cfg)
+            assert trace.values.tobytes() == values.tobytes()
+            assert trace.argopt == argopt
+            assert np.array_equal(stream.branches, before)
+            assert not np.shares_memory(trace.values, stream.branches)
+
 
 class TestInvariances:
     def test_scale_equivariance(self):
@@ -362,11 +391,43 @@ class TestTieBreak:
             got = _argopt(offsets, values, maximize)
             assert got == expected and type(got) is int
 
+    @pytest.mark.parametrize("maximize", [True, False])
+    def test_ties_that_first_index_gets_wrong(self, maximize):
+        offsets = np.arange(-4, 3)
+        best, other = (9.0, 1.0) if maximize else (1.0, 9.0)
+        # A tie at -3 and +1: the first index (np.argmax alone) is -3, the rule picks +1.
+        values = np.where(np.isin(offsets, [-3, 1]), best, other)
+        assert offsets[np.argmax(values == best)] == -3
+        assert _argopt(offsets, values, maximize) == 1
+        # A tie at -1 and +1 has equal |d|: the rule picks the smaller d.
+        values = np.where(np.isin(offsets, [-1, 1]), best, other)
+        assert _argopt(offsets, values, maximize) == -1
+
     def test_unique_optimum_unaffected(self):
         offsets = np.array([-1, 0, 1])
         values = np.array([1.0, 2.0, 3.0])
         assert _argopt(offsets, values, maximize=True) == 1
         assert _argopt(offsets, values, maximize=False) == -1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    search_min=st.integers(min_value=-12, max_value=0),
+    search_max=st.integers(min_value=0, max_value=12),
+    maximize=st.booleans(),
+    data=st.data(),
+)
+def test_argopt_equals_plain_tie_rule(search_min, search_max, maximize, data):
+    offsets = np.arange(search_min, search_max + 1)
+    size = offsets.size
+    finite = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+    values = np.array(data.draw(st.lists(finite, min_size=size, max_size=size)))
+    tied = data.draw(st.lists(st.integers(min_value=0, max_value=size - 1), max_size=size))
+    values[tied] = values.max() if maximize else values.min()
+    opt = values.max() if maximize else values.min()
+    ties = offsets[values == opt].tolist()
+    got = _argopt(offsets, values, maximize)
+    assert got == min(ties, key=lambda d: (abs(d), d)) and type(got) is int
 
 
 @settings(max_examples=30, deadline=None)

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpsync import Constellation, OfdmParams, build_frame, map_bits
+from cpsync import (
+    Constellation,
+    OfdmParams,
+    SampleStream,
+    add_awgn,
+    build_frame,
+    map_bits,
+    replicate_branches,
+)
 
 from oracles import add_cp, direct_idft, ofdm_symbol
 
@@ -30,6 +38,13 @@ class TestMapBits:
         for bits, point in expected.items():
             got = map_bits(list(bits), Constellation.QPSK)[0]
             assert got == pytest.approx(point)
+
+    def test_qpsk_points_equal_documented_expression_bit_for_bit(self):
+        for b0 in (0, 1):
+            for b1 in (0, 1):
+                point = ((1 - 2 * b0) + 1j * (1 - 2 * b1)) * (1 / np.sqrt(2))
+                got = map_bits([b0, b1], Constellation.QPSK)
+                assert got.tobytes() == np.complex128(point).tobytes()
 
     def test_qam16_sixteen_distinct_grid_points(self):
         patterns = [[(p >> 3) & 1, (p >> 2) & 1, (p >> 1) & 1, p & 1] for p in range(16)]
@@ -186,6 +201,38 @@ class TestBuildFrame:
         )
         stream = build_frame(params, seed=4)
         assert stream.payload_power() == pytest.approx(1.0, rel=0.02)
+
+
+def _np_mean_power(stream):
+    """payload_power's documented value: the mean over branches of each row's mean |x|^2."""
+    payload = stream.branches[:, stream.payload_start : stream.payload_stop]
+    return float(np.mean(np.mean(np.abs(payload) ** 2, axis=1)))
+
+
+class TestPayloadPower:
+    @pytest.mark.parametrize("branches", [1, 3, 16])
+    def test_equals_np_mean_bit_for_bit(self, branches):
+        frame = build_frame(OfdmParams(128, 16), seed=8)
+        for seed in range(3):
+            stream = add_awgn(replicate_branches(frame, branches), 3.0, seed=seed)
+            assert stream.payload_power() == _np_mean_power(stream)
+        # Rows whose powers span decades, so the order of the branch sum shows in the bits.
+        rng = np.random.default_rng(branches)
+        rows = rng.standard_normal((branches, 200)) + 1j * rng.standard_normal((branches, 200))
+        rows *= 10.0 ** rng.uniform(-3, 3, size=(branches, 1))
+        stream = SampleStream(branches=rows, sample_origin=0, payload_start=7, payload_stop=190)
+        assert stream.payload_power() == _np_mean_power(stream)
+
+    @pytest.mark.parametrize("branches", [3, 16])
+    def test_broadcast_view_equals_np_mean_bit_for_bit(self, branches):
+        stream = replicate_branches(build_frame(OfdmParams(64, 8), seed=9), branches)
+        assert stream.branches.strides[0] == 0
+        assert stream.payload_power() == _np_mean_power(stream)
+
+    def test_one_sample_payload_equals_np_mean_bit_for_bit(self):
+        rows = np.array([[0.3 - 1.7j, 2.1 + 0.4j], [1.1 + 0.9j, -0.6 + 0.2j], [5.0j, 1.0]])
+        stream = SampleStream(branches=rows, sample_origin=0, payload_start=1, payload_stop=2)
+        assert stream.payload_power() == _np_mean_power(stream)
 
 
 class TestSampleStreamValidation:
