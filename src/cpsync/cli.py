@@ -26,8 +26,11 @@ from .channel import CIR_FIXTURE, ChannelScenario
 from .harness import (
     ALL_METHODS,
     DEFAULT_STO_VALUES,
+    _CHANNELS,
+    _REFERENCE_AXES,
+    _REFERENCE_N,
     Scenario,
-    _cell_scenario,
+    _grid,
     freq_response,
     run_monte_carlo,
     run_trial,
@@ -36,16 +39,7 @@ from .sync import Method
 
 __all__ = ["main", "run"]
 
-_DEFAULT_SNR_AXIS = (10.0, 2.0)
-_DEFAULT_CP_AXIS = (32, 16)
-_DEFAULT_CHANNEL_AXIS = ("awgn", "rayleigh-fixture")
-_CHANNEL_MODES = ("awgn", "rayleigh-fixture", "rayleigh-random")
 _METHODS = {**{m.value: (m,) for m in Method}, "all": ALL_METHODS}
-_TRACE_COLUMNS = {
-    Method.CBM: "cbm_value",
-    Method.DBM_MAGNITUDE: "dbm_mag_value",
-    Method.DBM_LITERAL: "dbm_lit_value",
-}
 
 
 class ValidationError(Exception):
@@ -89,15 +83,17 @@ def _check_common(ns: argparse.Namespace) -> str:
 def _cells(ns: argparse.Namespace, single: bool) -> list[Scenario]:
     """The grid cells the selector flags pick, validated, in output row order.
 
-    An unset axis takes its default values, or only the first of them when
+    An unset axis takes its reference values, or only the first of them when
     a single cell is wanted.
     """
 
-    def axis(value, default):
+    def axis(name, reference):
+        value = getattr(ns, name)
         if value is not None:
             return (value,)
-        return default[:1] if single else default
+        return reference[:1] if single else reference
 
+    axes = {name: axis(name, reference) for name, reference in _REFERENCE_AXES.items()}
     n_fft = ns.n
     if n_fft < 2:
         raise ValidationError(f"n: IDFT size must be >= 2, got {n_fft}")
@@ -106,43 +102,26 @@ def _cells(ns: argparse.Namespace, single: bool) -> list[Scenario]:
             ChannelScenario(snr_db=ns.snr_db)
         except ValueError as err:
             raise ValidationError(f"snr-db: {err}") from None
-    cp_axis = axis(ns.cp, _DEFAULT_CP_AXIS)
-    for cp in cp_axis:
+    for cp in axes["cp"]:
         if not 0 < cp < n_fft:
             raise ValidationError(f"cp: must satisfy 0 < cp < n, got cp={cp}, n={n_fft}")
     # argparse checks choices= on flags only, not on defaults from --config.
-    channel_axis = axis(ns.channel, _DEFAULT_CHANNEL_AXIS)
-    for channel in channel_axis:
-        if channel not in _CHANNEL_MODES:
+    for channel in axes["channel"]:
+        if channel not in _CHANNELS:
             raise ValidationError(
-                f"channel: must be one of {', '.join(_CHANNEL_MODES)}, got {channel!r}"
+                f"channel: must be one of {', '.join(_CHANNELS)}, got {channel!r}"
             )
     if ns.method not in _METHODS:
-        raise ValidationError(f"method: must be cbm, dbm-mag, dbm-lit or all, got {ns.method!r}")
+        raise ValidationError(f"method: must be one of {', '.join(_METHODS)}, got {ns.method!r}")
     methods = _METHODS[ns.method]
     if ns.sto is None:
         sto_values = DEFAULT_STO_VALUES[:1] if single else DEFAULT_STO_VALUES
     else:
         sto_values = _parse_list(ns.sto, int, "sto", "integers")
     try:
-        return [
-            _cell_scenario(snr_db, cp, channel, n_fft, methods, sto_values)
-            for snr_db in axis(ns.snr_db, _DEFAULT_SNR_AXIS)
-            for cp in cp_axis
-            for channel in channel_axis
-        ]
+        return _grid(n_fft, methods, sto_values, **axes)
     except ValueError as err:  # Scenario checks the offsets; every other field passed above
         raise ValidationError(f"sto: {err}") from None
-
-
-def _format_number(value) -> str:
-    if isinstance(value, bool):
-        raise TypeError("bool is not a CSV value")
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
 
 
 def _write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
@@ -151,8 +130,7 @@ def _write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
             handle.write(f"# {comment}\n")
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_format_number(v) for v in row])
+        writer.writerows(rows)
 
 
 def cmd_trace(ns: argparse.Namespace) -> int:
@@ -164,12 +142,13 @@ def cmd_trace(ns: argparse.Namespace) -> int:
     true_sto = scenario.sto_values[0]
     result = run_trial(scenario, true_sto, ns.seed)
 
+    stems = [m.value.replace("-", "_") for m in methods]
     comments = [
         f"scenario={scenario.label} n={ns.n} symbols={scenario.ofdm.symbols_per_frame}",
         f"true_sto={true_sto} seed={ns.seed}",
-        " ".join(f"sto_hat_{m.value.replace('-', '_')}={result.estimates[m]}" for m in methods),
+        " ".join(f"sto_hat_{stem}={result.estimates[m]}" for stem, m in zip(stems, methods)),
     ]
-    header = ["offset"] + [_TRACE_COLUMNS[m] for m in methods]
+    header = ["offset"] + [f"{stem}_value" for stem in stems]
     traces = [result.traces[m] for m in methods]
     rows = [
         [int(offset)] + [float(trace.values[idx]) for trace in traces]
@@ -263,10 +242,12 @@ def build_parser() -> argparse.ArgumentParser:
         if selectors:
             p.add_argument("--snr-db", dest="snr_db", type=float, default=None)
             p.add_argument("--cp", type=int, default=None, help="cyclic-prefix length")
-            p.add_argument("--channel", type=str, default=None, choices=_CHANNEL_MODES)
+            p.add_argument("--channel", type=str, default=None, choices=_CHANNELS)
             p.add_argument("--sto", type=str, default=None, help="true offset(s), comma-separated")
             p.add_argument("--method", type=str, default="all", choices=_METHODS)
-            p.add_argument("--n", type=int, default=128, help="IDFT size (default %(default)s)")
+            p.add_argument(
+                "--n", type=int, default=_REFERENCE_N, help="IDFT size (default %(default)s)"
+            )
 
     p_trace = sub.add_parser("trace", help="metric trace of one seeded realization")
     add_common(p_trace, selectors=True)

@@ -17,6 +17,7 @@ hash() is salted per process and is deliberately not used.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -37,6 +38,7 @@ from .txgen import OfdmParams, build_frame
 
 __all__ = [
     "ALL_METHODS",
+    "DEFAULT_STO_VALUES",
     "Scenario",
     "TrialResult",
     "MethodStats",
@@ -48,9 +50,22 @@ __all__ = [
     "freq_response",
 ]
 
-ALL_METHODS: tuple[Method, ...] = (Method.CBM, Method.DBM_MAGNITUDE, Method.DBM_LITERAL)
+ALL_METHODS: tuple[Method, ...] = tuple(Method)
 
 DEFAULT_STO_VALUES: tuple[int, ...] = (3, -3, 2, -2)
+
+# Channel mode -> (label tag, fixed CIR taps). Labels seed every trial, so
+# fixture cells keep the tag "rayleigh"; rayleigh-random draws its CIR per trial.
+_CHANNELS = {
+    "awgn": ("awgn", ()),
+    "rayleigh-fixture": ("rayleigh", CIR_FIXTURE),
+    "rayleigh-random": ("rayleigh-random", ()),
+}
+
+# The reference grid at N = 128, one tuple of values per axis, keyed like
+# _grid's arguments; the CLI's selector flags default to these values.
+_REFERENCE_N = 128
+_REFERENCE_AXES = {"snr_db": (10.0, 2.0), "cp": (32, 16), "channel": ("awgn", "rayleigh-fixture")}
 
 
 def derive_seed(*parts: int | str) -> int:
@@ -163,37 +178,34 @@ class ScenarioStats:
                 raise ValueError(f"histogram mass != n_trials for {method.value}")
 
 
-def _cell_scenario(
-    snr_db: float,
-    cp_len: int,
-    channel_mode: str,
+def _grid(
     n_fft: int,
     methods: tuple[Method, ...],
     sto_values: tuple[int, ...],
-) -> Scenario:
-    """One grid cell. Its label seeds every trial; fixture cells keep the tag "rayleigh"."""
-    fixture = channel_mode == "rayleigh-fixture"
-    return Scenario(
-        label=f"snr{snr_db:g}_cp{cp_len}_{'rayleigh' if fixture else channel_mode}",
-        ofdm=OfdmParams(n_subcarriers=n_fft, cp_len=cp_len),
-        channel=ChannelScenario(snr_db=snr_db, cir_taps=CIR_FIXTURE if fixture else ()),
-        methods=methods,
-        sto_values=sto_values,
-        fresh_cir_per_trial=channel_mode == "rayleigh-random",
-    )
-
-
-def reference_scenarios(
-    methods: tuple[Method, ...] = ALL_METHODS,
-    sto_values: tuple[int, ...] = DEFAULT_STO_VALUES,
+    snr_db: tuple[float, ...],
+    cp: tuple[int, ...],
+    channel: tuple[str, ...],
 ) -> list[Scenario]:
+    """Grid cells over the given axes in row order: SNR-major, then CP, then channel."""
+    cells = []
+    for snr, cp_len, mode in itertools.product(snr_db, cp, channel):
+        tag, taps = _CHANNELS[mode]
+        cells.append(
+            Scenario(
+                label=f"snr{snr:g}_cp{cp_len}_{tag}",
+                ofdm=OfdmParams(n_subcarriers=n_fft, cp_len=cp_len),
+                channel=ChannelScenario(snr_db=snr, cir_taps=taps),
+                methods=methods,
+                sto_values=sto_values,
+                fresh_cir_per_trial=mode == "rayleigh-random",
+            )
+        )
+    return cells
+
+
+def reference_scenarios(methods: tuple[Method, ...] = ALL_METHODS) -> list[Scenario]:
     """The canned 8-cell grid: {10, 2} dB x {CP 32, 16} x {AWGN, fixture CIR}."""
-    return [
-        _cell_scenario(snr_db, cp_len, mode, 128, methods, sto_values)
-        for snr_db in (10.0, 2.0)
-        for cp_len in (32, 16)
-        for mode in ("awgn", "rayleigh-fixture")
-    ]
+    return _grid(_REFERENCE_N, methods, DEFAULT_STO_VALUES, **_REFERENCE_AXES)
 
 
 def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
@@ -247,6 +259,8 @@ def freq_response(taps, n_points: int) -> list[tuple[int, float, float]]:
     h = np.asarray(taps, dtype=np.complex128).ravel()
     if h.size == 0:
         raise ValueError("taps must contain at least one coefficient")
+    if not np.isfinite(h).all():
+        raise ValueError("taps must be finite")
     if n_points < h.size:
         raise ValueError(f"n_points={n_points} smaller than tap count {h.size}")
     padded = np.zeros(n_points, dtype=np.complex128)

@@ -19,36 +19,29 @@ import numpy as np
 __all__ = ["dft", "idft"]
 
 
-def _checked_input(x, n: int | None, name: str, stack: bool = False) -> np.ndarray:
+def _checked_input(x, name: str, stack: bool = False) -> np.ndarray:
     arr = np.asarray(x, dtype=np.complex128)
     if arr.ndim != 1 and not (stack and arr.ndim == 2):
         kind = "a 1-D vector or a 2-D stack of rows" if stack else "a 1-D vector"
         raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
-    if n is not None and arr.shape[-1] != n:
-        raise ValueError(f"{name} has length {arr.shape[-1]}, expected n={n}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite values")
     return arr
 
 
-def dft(x, n: int | None = None) -> np.ndarray:
+def dft(x) -> np.ndarray:
     """Forward transform of a complex vector, unscaled.
 
-    ``n``, when given, must equal ``len(x)``; it exists so callers can assert
-    the size they designed for. Raises ValueError on length mismatch or
-    non-finite input.
+    Raises ValueError on empty, non-vector or non-finite input.
     """
-    arr = _checked_input(x, n, "x")
-    return np.fft.fft(arr)
+    return np.fft.fft(_checked_input(x, "x"))
 
 
-def idft(spectrum, n: int | None = None) -> np.ndarray:
+def idft(spectrum) -> np.ndarray:
     """Inverse transform with 1/N scaling; exact inverse of :func:`dft`.
 
-    A 2-D (rows x N) stack is transformed row by row; ``n`` then checks the
-    row length.
+    A 2-D (rows x N) stack is transformed row by row.
     """
-    arr = _checked_input(spectrum, n, "spectrum", stack=True)
-    return np.fft.ifft(arr)
+    return np.fft.ifft(_checked_input(spectrum, "spectrum", stack=True))

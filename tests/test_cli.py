@@ -1,6 +1,7 @@
 """CLI behaviour: CSV schemas, determinism, validation and exit codes."""
 
 import csv
+import dataclasses
 import io
 import re
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cpsync import cli, reference_scenarios
 from cpsync.cli import main
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -73,6 +75,19 @@ class TestTraceCommand:
         assert run_cli(*args, "--out", str(b)) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_default_trace_runs_first_reference_cell(self, tmp_path, monkeypatch):
+        calls = []
+        run_trial = cli.run_trial
+
+        def recording_run_trial(scenario, true_sto, seed):
+            calls.append((scenario, true_sto))
+            return run_trial(scenario, true_sto, seed)
+
+        monkeypatch.setattr(cli, "run_trial", recording_run_trial)
+        assert run_cli("trace", "--out", str(tmp_path / "trace.csv")) == 0
+        first = dataclasses.replace(reference_scenarios()[0], sto_values=(3,))
+        assert calls == [(first, 3)]
+
     def test_trace_requires_single_sto(self, tmp_path, capsys):
         code = run_cli("trace", "--sto", "3,-3", "--out", str(tmp_path / "x.csv"))
         assert code == 2
@@ -93,6 +108,18 @@ class TestSweepCommand:
             assert row["channel"] in {"awgn", "rayleigh-fixture"}
             assert float(row["mean_abs_error"]) >= 0.0
             assert float(row["mean_sq_error"]) >= 0.0
+
+    def test_default_grid_is_reference_scenarios(self, tmp_path, monkeypatch):
+        scenarios = []
+        run_monte_carlo = cli.run_monte_carlo
+
+        def recording_run_monte_carlo(scenario, n_trials, master_seed):
+            scenarios.append(scenario)
+            return run_monte_carlo(scenario, n_trials, master_seed)
+
+        monkeypatch.setattr(cli, "run_monte_carlo", recording_run_monte_carlo)
+        assert run_cli("sweep", "--trials", "1", "--out", str(tmp_path / "sweep.csv")) == 0
+        assert scenarios == reference_scenarios()
 
     def test_selectors_restrict_grid(self, tmp_path):
         out = tmp_path / "sweep.csv"

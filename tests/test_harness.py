@@ -356,3 +356,7 @@ class TestFreqResponse:
             freq_response(CIR_FIXTURE, 9)
         with pytest.raises(ValueError, match="at least one"):
             freq_response([], 8)
+
+    def test_non_finite_taps_rejected(self):
+        with pytest.raises(ValueError, match="taps"):
+            freq_response([np.nan], 4)

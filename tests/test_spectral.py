@@ -81,13 +81,6 @@ def test_cross_check_against_numpy(n):
     np.testing.assert_allclose(idft(x), np.fft.ifft(x), rtol=0, atol=1e-9)
 
 
-def test_length_mismatch_rejected():
-    with pytest.raises(ValueError, match="length"):
-        dft([1, 0, 0, 0], n=8)
-    with pytest.raises(ValueError, match="length"):
-        idft([1, 0], n=4)
-
-
 def test_non_finite_rejected():
     with pytest.raises(ValueError, match="finite"):
         dft([1.0, np.nan, 0.0, 0.0])
@@ -105,17 +98,15 @@ def test_empty_and_non_vector_rejected():
 def test_idft_of_stack_equals_per_row_transform():
     rng = np.random.default_rng(8)
     stack = rng.standard_normal((4, 128)) + 1j * rng.standard_normal((4, 128))
-    rows = idft(stack, n=128)
+    rows = idft(stack)
     assert rows.shape == (4, 128)
     for row, spectrum in zip(rows, stack):
         assert np.array_equal(row, idft(spectrum))
 
 
-def test_idft_rejects_3d_input_and_row_length_mismatch():
+def test_idft_rejects_3d_input():
     with pytest.raises(ValueError, match="2-D stack"):
         idft(np.ones((2, 2, 4)))
-    with pytest.raises(ValueError, match="length 8, expected n=4"):
-        idft(np.ones((3, 8)), n=4)
 
 
 @settings(max_examples=30, deadline=None)
