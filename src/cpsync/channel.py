@@ -80,8 +80,9 @@ class CfoParams:
 class ChannelScenario:
     """Full impairment description for one run.
 
-    snr_db may be math.inf, the documented no-noise sentinel. Empty cir_taps
-    means an ideal (single unit tap) channel.
+    snr_db may be math.inf, the documented no-noise sentinel. cir_taps is
+    stored as a tuple of complex, whatever sequence or array it is given as;
+    empty means an ideal (single unit tap) channel.
     """
 
     snr_db: float
@@ -94,9 +95,9 @@ class ChannelScenario:
             raise ValueError(f"snr_db={self.snr_db} cannot size noise; {_SNR_DB_RULE}")
         if self.rx_branches < 1:
             raise ValueError(f"rx_branches must be >= 1, got {self.rx_branches}")
-        if self.cir_taps and not all(
-            math.isfinite(t.real) and math.isfinite(t.imag) for t in map(complex, self.cir_taps)
-        ):
+        taps = tuple(map(complex, self.cir_taps))
+        object.__setattr__(self, "cir_taps", taps)
+        if not all(math.isfinite(t.real) and math.isfinite(t.imag) for t in taps):
             raise ValueError("cir_taps must be finite")
 
 

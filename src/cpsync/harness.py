@@ -121,7 +121,7 @@ class Scenario:
             return "rayleigh-random"
         if not self.channel.cir_taps:
             return "awgn"
-        if tuple(self.channel.cir_taps) == CIR_FIXTURE:
+        if self.channel.cir_taps == CIR_FIXTURE:
             return "rayleigh-fixture"
         return "cir"
 

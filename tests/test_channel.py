@@ -301,6 +301,14 @@ class TestScenarioTypes:
         with pytest.raises(ValueError, match="finite"):
             ChannelScenario(snr_db=10.0, cir_taps=(complex(math.inf, 0),))
 
+    def test_channel_scenario_takes_array_taps_and_stays_hashable(self):
+        taps = random_cir(10, seed=1)
+        from_array = ChannelScenario(snr_db=10.0, cir_taps=taps)
+        from_tuple = ChannelScenario(snr_db=10.0, cir_taps=tuple(taps))
+        from_list = ChannelScenario(snr_db=10.0, cir_taps=list(taps))
+        assert from_array == from_tuple
+        assert hash(from_array) == hash(from_list)
+
     def test_cfo_params_validation(self):
         with pytest.raises(ValueError, match="epsilon"):
             CfoParams(epsilon=math.nan)

@@ -337,6 +337,8 @@ class TestConfigFile:
         *(("sweep", key) for key in ("seed", "n", "cp", "snr_db", "trials")),
         ("response", "seed"),
         ("response", "points"),
+        ("trace", "channel"),
+        ("sweep", "method"),
     ])
     def test_non_numeric_config_value_names_config_and_key(self, tmp_path, capsys,
                                                            subcommand, key):
