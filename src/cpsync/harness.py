@@ -54,12 +54,12 @@ ALL_METHODS: tuple[Method, ...] = tuple(Method)
 
 DEFAULT_STO_VALUES: tuple[int, ...] = (3, -3, 2, -2)
 
-# Channel mode -> (label tag, fixed CIR taps). Labels seed every trial, so
-# fixture cells keep the tag "rayleigh"; rayleigh-random draws its CIR per trial.
+# Channel mode -> (label tag, fixed CIR taps, fresh CIR per trial). Labels seed
+# every trial, so fixture cells keep the tag "rayleigh".
 _CHANNELS = {
-    "awgn": ("awgn", ()),
-    "rayleigh-fixture": ("rayleigh", CIR_FIXTURE),
-    "rayleigh-random": ("rayleigh-random", ()),
+    "awgn": ("awgn", (), False),
+    "rayleigh-fixture": ("rayleigh", CIR_FIXTURE, False),
+    "rayleigh-random": ("rayleigh-random", (), True),
 }
 
 # The reference grid at N = 128, one tuple of values per axis, keyed like
@@ -117,13 +117,10 @@ class Scenario:
 
     @property
     def channel_mode(self) -> str:
-        if self.fresh_cir_per_trial:
-            return "rayleigh-random"
-        if not self.channel.cir_taps:
-            return "awgn"
-        if self.channel.cir_taps == CIR_FIXTURE:
-            return "rayleigh-fixture"
-        return "cir"
+        """The _CHANNELS mode whose taps and per-trial draw this cell has, else "cir"."""
+        key = (self.channel.cir_taps, self.fresh_cir_per_trial)
+        modes = (mode for mode, (_, taps, fresh) in _CHANNELS.items() if (taps, fresh) == key)
+        return next(modes, "cir")
 
 
 @dataclass
@@ -189,7 +186,7 @@ def _grid(
     """Grid cells over the given axes in row order: SNR-major, then CP, then channel."""
     cells = []
     for snr, cp_len, mode in itertools.product(snr_db, cp, channel):
-        tag, taps = _CHANNELS[mode]
+        tag, taps, fresh = _CHANNELS[mode]
         cells.append(
             Scenario(
                 label=f"snr{snr:g}_cp{cp_len}_{tag}",
@@ -197,7 +194,7 @@ def _grid(
                 channel=ChannelScenario(snr_db=snr, cir_taps=taps),
                 methods=methods,
                 sto_values=sto_values,
-                fresh_cir_per_trial=mode == "rayleigh-random",
+                fresh_cir_per_trial=fresh,
             )
         )
     return cells
@@ -254,7 +251,7 @@ def freq_response(taps, n_points: int) -> list[tuple[int, float, float]]:
     """Frequency response of a tap vector on an n_points-bin grid.
 
     Returns (bin index, magnitude in dB, phase in radians) per bin, phase
-    wrapped to (-pi, pi]. Bins with exactly zero response report -inf dB.
+    wrapped to (-pi, pi]. An exact-zero bin reports -inf dB; an overflowing one raises ValueError.
     """
     h = np.asarray(taps, dtype=np.complex128).ravel()
     if h.size == 0:
@@ -265,9 +262,13 @@ def freq_response(taps, n_points: int) -> list[tuple[int, float, float]]:
         raise ValueError(f"n_points={n_points} smaller than tap count {h.size}")
     padded = np.zeros(n_points, dtype=np.complex128)
     padded[: h.size] = h
-    response = dft(padded)
+    with np.errstate(over="ignore", invalid="ignore"):
+        response = dft(padded)
+        magnitude = np.abs(response)
+    if not np.isfinite(magnitude).all():
+        raise ValueError("freq_response output overflows float64")
     with np.errstate(divide="ignore"):
-        magnitude_db = 20.0 * np.log10(np.abs(response))
+        magnitude_db = 20.0 * np.log10(magnitude)
     phase = np.angle(response)
     phase[phase == -np.pi] = np.pi
     return [(int(k), float(magnitude_db[k]), float(phase[k])) for k in range(n_points)]

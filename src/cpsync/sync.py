@@ -221,10 +221,10 @@ def _search_half_width(params: OfdmParams) -> int:
 def check_search_offset(name: str, sto: int, params: OfdmParams) -> None:
     """Reject a true offset that default_config's search cannot recover.
 
-    The rule: |sto| <= 2*cp_len and |sto| < n_subcarriers (the frame's guard).
+    The rule: |sto| <= min(2*cp_len, n_subcarriers - 1), the latter the frame's guard.
     """
-    limit = _search_half_width(params)
-    if abs(sto) > limit or abs(sto) >= params.n_subcarriers:
+    limit = min(_search_half_width(params), params.n_subcarriers - 1)
+    if abs(sto) > limit:
         raise ValueError(
             f"{name}={sto} outside the default search range +-{limit} "
             f"(cp_len={params.cp_len}, n_subcarriers={params.n_subcarriers})"

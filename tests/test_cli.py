@@ -9,8 +9,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cpsync import cli, reference_scenarios
+from cpsync import (
+    CIR_FIXTURE,
+    ChannelScenario,
+    OfdmParams,
+    cli,
+    freq_response,
+    reference_scenarios,
+)
 from cpsync.cli import main
+from cpsync.sync import check_search_offset
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -203,6 +211,16 @@ class TestResponseCommand:
         assert code == 2
         assert "points" in capsys.readouterr().err
 
+    def test_overflowed_response_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        code = run_cli("response", "--taps", "1e308,1e308", "--points", "10", "--out", str(out))
+        assert code == 2
+        assert "overflows" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_is_not_a_response_flag(self, tmp_path):
+        assert run_cli("response", "--seed", "3", "--out", str(tmp_path / "x.csv")) == 2
+
 
 class TestValidationAndExitCodes:
     def test_bad_cp_names_field(self, tmp_path, capsys):
@@ -245,7 +263,8 @@ class TestValidationAndExitCodes:
         code = run_cli("sweep", f"--snr-db={snr}", "--trials", "1",
                        "--out", str(tmp_path / "x.csv"))
         assert code == 2
-        assert "snr-db:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(r"(?<![a-z])snr_db(?![a-z])", err.replace("-", "_"))
 
     def test_snr_at_floor_completes(self, tmp_path):
         out = tmp_path / "floor.csv"
@@ -259,7 +278,33 @@ class TestValidationAndExitCodes:
     def test_non_finite_taps_rejected(self, tmp_path, capsys):
         code = run_cli("response", "--taps", "nan", "--out", str(tmp_path / "x.csv"))
         assert code == 2
-        assert "taps:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(r"(?<![a-z])taps(?![a-z])", err.replace("-", "_"))
+
+    @pytest.mark.parametrize("argv,expected", [
+        (["trace", "--sto", ","], "sto: expected comma-separated integers, got ','"),
+        (["response", "--taps", ","], "taps: expected comma-separated complex values, got ','"),
+    ], ids=["sto", "taps"])
+    def test_empty_list_names_its_flag(self, tmp_path, capsys, argv, expected):
+        assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    # A rule the library owns is checked there only: the CLI reports the
+    # owner's own message for the same value, with no prefix of its own.
+    @pytest.mark.parametrize("argv,owner", [
+        (["trace", "--cp", "300"], lambda: OfdmParams(n_subcarriers=128, cp_len=300)),
+        (["trace", "--n", "1"], lambda: OfdmParams(n_subcarriers=1, cp_len=32)),
+        (["sweep", "--snr-db=-inf"], lambda: ChannelScenario(snr_db=-np.inf)),
+        (["trace", "--sto", "100"],
+         lambda: check_search_offset("sto", 100, OfdmParams(n_subcarriers=128, cp_len=32))),
+        (["response", "--taps", "nan"], lambda: freq_response([complex("nan")], 256)),
+        (["response", "--points", "4"], lambda: freq_response(CIR_FIXTURE, 4)),
+    ], ids=["cp", "n", "snr_db", "sto", "taps", "points"])
+    def test_library_message_reported_verbatim(self, tmp_path, capsys, argv, owner):
+        with pytest.raises(ValueError) as raised:
+            owner()
+        assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err == f"error: {raised.value}\n"
 
     @pytest.mark.parametrize("seed", [2**127, -(2**127) - 1])
     def test_seed_outside_derive_seed_range_rejected(self, tmp_path, capsys, seed):
@@ -321,7 +366,7 @@ class TestConfigFile:
                    "sto": "3,-2", "method": "dbm-mag", "n": "64", "seed": "21"}),
         ("trace", {"snr-db": "2", "cp": "16", "channel": "rayleigh-random", "sto": "-3",
                    "method": "all", "n": "128", "seed": "11"}),
-        ("response", {"taps": "1,0.5-0.25j", "points": "32", "seed": "4"}),
+        ("response", {"taps": "1,0.5-0.25j", "points": "32"}),
     ])
     def test_config_matches_flags_byte_for_byte(self, tmp_path, subcommand, values):
         config = tmp_path / "run.cfg"
@@ -335,7 +380,6 @@ class TestConfigFile:
     @pytest.mark.parametrize("subcommand,key", [
         *(("trace", key) for key in ("seed", "n", "cp", "snr_db")),
         *(("sweep", key) for key in ("seed", "n", "cp", "snr_db", "trials")),
-        ("response", "seed"),
         ("response", "points"),
         ("trace", "channel"),
         ("sweep", "method"),
@@ -356,7 +400,8 @@ class TestConfigFile:
         code = run_cli("sweep", "--config", str(config), "--trials", "1",
                        "--out", str(tmp_path / "x.csv"))
         assert code == 2
-        assert "snr-db:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert re.search(r"(?<![a-z])snr_db(?![a-z])", err.replace("-", "_"))
 
     def test_trace_runs_with_a_key_only_response_takes(self, tmp_path):
         # One config file can serve several subcommands.

@@ -21,6 +21,7 @@ from cpsync import (
     run_monte_carlo,
     run_trial,
 )
+from cpsync.harness import ALL_METHODS, _CHANNELS, _grid
 
 from oracles import direct_dft
 
@@ -61,6 +62,17 @@ class TestReferenceScenarios:
             else:
                 assert scenario.channel_mode == "rayleigh-fixture"
                 assert tuple(scenario.channel.cir_taps) == CIR_FIXTURE
+
+    def test_channel_modes_round_trip(self):
+        for mode in _CHANNELS:
+            (cell,) = _grid(128, ALL_METHODS, (3,), (10.0,), (32,), (mode,))
+            assert cell.channel_mode == mode
+        other = Scenario(
+            label="other",
+            ofdm=OfdmParams(n_subcarriers=128, cp_len=32),
+            channel=ChannelScenario(snr_db=10.0, cir_taps=(1.0, 0.5j)),
+        )
+        assert other.channel_mode == "cir"
 
     def test_grid_axes(self):
         grid = reference_scenarios()
@@ -360,3 +372,14 @@ class TestFreqResponse:
     def test_non_finite_taps_rejected(self):
         with pytest.raises(ValueError, match="taps"):
             freq_response([np.nan], 4)
+
+    # [1e308, 1e308] overflows inside the DFT; 1.5e308(1+j) is finite, but its magnitude is not.
+    @pytest.mark.parametrize("taps", [[1e308, 1e308], [1.5e308 + 1.5e308j]])
+    def test_overflowed_bins_rejected(self, taps):
+        with pytest.raises(ValueError, match="overflows float64"):
+            freq_response(taps, 10)
+
+    def test_exact_zero_bin_reports_minus_inf_db(self):
+        (_, dc_db, _), (_, nyquist_db, _) = freq_response([1.0, 1.0], 2)
+        assert dc_db == pytest.approx(20.0 * math.log10(2.0))
+        assert nyquist_db == -math.inf

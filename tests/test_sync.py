@@ -22,7 +22,7 @@ from cpsync import (
     estimate_sto,
     replicate_branches,
 )
-from cpsync.sync import _argopt
+from cpsync.sync import _argopt, check_search_offset
 
 from oracles import accumulated_pair_series, brute_force_metric, relative_error
 
@@ -68,6 +68,26 @@ class TestConfigValidation:
         cfg = EstimatorConfig(Method.CBM, -40, 40, n=32, n_fft=16, cp_len=4)
         with pytest.raises(ValueError, match="exceeds the"):
             estimate_sto(stream, cfg)
+
+
+class TestSearchOffsetRule:
+    def test_message_states_the_bound_applied(self):
+        # 2*cp_len is 14 here, but the frame's guard stops |sto| at n_subcarriers - 1.
+        params = OfdmParams(n_subcarriers=8, cp_len=7)
+        check_search_offset("sto", -7, params)
+        with pytest.raises(ValueError, match=r"^sto=8 outside the default search range \+-7 "):
+            check_search_offset("sto", 8, params)
+
+    def test_accepts_within_both_bounds(self):
+        for n in range(2, 10):
+            for cp in range(1, n):
+                params = OfdmParams(n_subcarriers=n, cp_len=cp)
+                for sto in range(-2 * n, 2 * n + 1):
+                    if abs(sto) <= 2 * cp and abs(sto) < n:
+                        check_search_offset("sto", sto, params)
+                    else:
+                        with pytest.raises(ValueError, match="outside"):
+                            check_search_offset("sto", sto, params)
 
 
 class TestMetricTraceValidation:
