@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .channel import (
     replicate_branches,
 )
 from .spectral import dft
-from .sync import Method, MetricTrace, check_search_offset, default_config, estimate_sto
+from .sync import Method, MetricTrace, _default_configs, check_search_offset, estimate_sto
 from .txgen import OfdmParams, build_frame
 
 __all__ = [
@@ -73,8 +73,14 @@ def derive_seed(*parts: int | str) -> int:
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
         if isinstance(part, (int, np.integer)):
+            try:
+                packed = int(part).to_bytes(16, "little", signed=True)
+            except OverflowError:
+                raise ValueError(
+                    f"seed parts must lie in [-2**127, 2**127), got {int(part)}"
+                ) from None
             h.update(b"i")
-            h.update(int(part).to_bytes(16, "little", signed=True))
+            h.update(packed)
         elif isinstance(part, str):
             h.update(b"s")
             h.update(part.encode("utf-8"))
@@ -102,6 +108,8 @@ class Scenario:
     n_random_taps: int = 10
 
     def __post_init__(self) -> None:
+        # A tuple keeps the scenario hashable and keys run_trial's memoised configs.
+        object.__setattr__(self, "methods", tuple(self.methods))
         if not self.label:
             raise ValueError("scenario label must be non-empty")
         if not self.methods:
@@ -224,9 +232,11 @@ def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
         # Receiver-mixer model: the rotation hits signal and noise alike, so
         # magnitude-based decisions match the CFO-free run exactly.
         stream = apply_cfo(stream, scenario.channel.cfo.epsilon, ofdm.n_subcarriers)
-    # One window per trial: the methods' configs differ only in method.
-    cfg = default_config(stream, ofdm, scenario.methods[0])
-    traces = {m: estimate_sto(stream, replace(cfg, method=m)) for m in scenario.methods}
+    # Every trial of a cell shares one search window, so the configs are memoised.
+    configs = _default_configs(
+        ofdm, stream.buffer_len, stream.sample_origin, scenario.methods, None
+    )
+    traces = {cfg.method: estimate_sto(stream, cfg) for cfg in configs}
     return TrialResult(traces=traces)
 
 

@@ -155,7 +155,11 @@ def map_bits(bits, constellation: Constellation) -> np.ndarray:
             f"bit count {b.size} is not divisible by {k} "
             f"(bits per {constellation.value} symbol)"
         )
-    pairs = b.reshape(-1, k)
+    return _points(b.reshape(-1, k), constellation)
+
+
+def _points(pairs: np.ndarray, constellation: Constellation) -> np.ndarray:
+    """Points of a (points, bits per point) int64 array that holds only 0s and 1s."""
     if constellation is Constellation.QPSK:
         return _QPSK_POINTS[(pairs[:, 0] << 1) | pairs[:, 1]]
     i_level = _QAM16_LEVELS[(pairs[:, 0] << 1) | pairs[:, 1]]
@@ -177,8 +181,10 @@ def build_frame(params: OfdmParams, seed: int) -> SampleStream:
     """
     rng = np.random.default_rng(seed)
     n, cp, count = params.n_subcarriers, params.cp_len, params.symbols_per_frame
-    bits = rng.integers(0, 2, size=(count, n * params.constellation.bits_per_symbol))
-    bodies = idft(map_bits(bits, params.constellation).reshape(count, n) * np.sqrt(n))
+    k = params.constellation.bits_per_symbol
+    # The draw holds only 0s and 1s by construction, so map_bits' checks are skipped.
+    bits = rng.integers(0, 2, size=(count, n * k))
+    bodies = idft(_points(bits.reshape(-1, k), params.constellation).reshape(count, n) * np.sqrt(n))
     payload_stop = n + count * params.symbol_len
     buffer = np.zeros((1, payload_stop + n), dtype=np.complex128)
     symbols = buffer[0, n:payload_stop].reshape(count, params.symbol_len)

@@ -23,6 +23,7 @@ from cpsync import (
     SampleStream,
     Scenario,
     cli,
+    default_config,
     harness,
     reference_scenarios,
     sync,
@@ -87,12 +88,20 @@ def test_run_trial_hands_estimate_sto_one_call_per_method(monkeypatch):
         channel=ChannelScenario(snr_db=math.inf),
         methods=(Method.DBM_LITERAL, Method.CBM),
     )
-    for scenario, sto in ((fixture, 3), (diversity, -2), (noiseless, 1)):
+    # Differs from noiseless only in symbols_per_frame, so it needs its own window.
+    two_symbols = Scenario(
+        label="contract-two-symbols",
+        ofdm=OfdmParams(n_subcarriers=64, cp_len=8, symbols_per_frame=2),
+        channel=ChannelScenario(snr_db=math.inf),
+        methods=(Method.DBM_LITERAL, Method.CBM),
+    )
+    for scenario, sto in ((fixture, 3), (diversity, -2), (noiseless, 1), (two_symbols, 1)):
         captured.clear()
         result = harness.run_trial(scenario, sto, seed=11)
         assert [cfg.method for _, cfg, _ in captured] == list(scenario.methods)
         for stream, cfg, trace in captured:
             assert type(stream) is SampleStream and type(cfg) is EstimatorConfig
+            assert cfg == default_config(stream, scenario.ofdm, cfg.method)
             expected = [
                 brute_force_metric(stream.branches, cfg.n, cfg.n_fft, cfg.cp_len,
                                    cfg.symbols_averaged, int(d), cfg.method.value)
@@ -100,3 +109,23 @@ def test_run_trial_hands_estimate_sto_one_call_per_method(monkeypatch):
             ]
             assert relative_error(trace.values, expected) < 1e-10
             assert result.traces[cfg.method] is trace
+
+
+def test_run_monte_carlo_calls_run_trial_once_per_trial(monkeypatch):
+    """``perfbench/run.py --trace 1`` counts trials by their ``harness.run_trial`` spans.
+
+    A core that evaluates blocks of trials without calling that name would
+    leave the tracer with no trial to count, so it needs the tracer's block
+    span first (ROADMAP item 1, Step 1).
+    """
+    calls = []
+    original = harness.run_trial
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "run_trial", counting)
+    scenario = reference_scenarios()[0]
+    harness.run_monte_carlo(scenario, 7, 0)
+    assert len(calls) == 7

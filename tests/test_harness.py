@@ -48,6 +48,25 @@ class TestDeriveSeed:
         with pytest.raises(TypeError):
             derive_seed(1.5)
 
+    @pytest.mark.parametrize("part", [2**127, -(2**127) - 1, 2**200])
+    def test_out_of_range_int_names_value_and_range(self, part):
+        with pytest.raises(ValueError, match=r"\[-2\*\*127, 2\*\*127\), got -?\d+"):
+            derive_seed("x", part)
+
+    @pytest.mark.parametrize("seed", [2**127, -(2**127) - 1])
+    def test_run_trial_rejects_out_of_range_seed(self, seed):
+        with pytest.raises(ValueError, match=rf"got {seed}$"):
+            run_trial(NOISELESS, 3, seed)
+
+    @pytest.mark.parametrize("seed", [2**127, -(2**127) - 1])
+    def test_run_monte_carlo_rejects_out_of_range_seed_before_any_trial(self, seed,
+                                                                       monkeypatch):
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
+        with pytest.raises(ValueError, match=rf"got {seed}$"):
+            run_monte_carlo(NOISELESS, 1, seed)
+        assert trials == []
+
 
 class TestReferenceScenarios:
     def test_grid_shape(self):
@@ -161,6 +180,16 @@ class TestRunTrial:
         )
         result = run_trial(scenario, 2, seed=3)
         assert result.estimates[Method.DBM_MAGNITUDE] == 2
+
+    def test_method_list_is_stored_as_tuple(self):
+        scenario = Scenario(
+            label="method-list",
+            ofdm=OfdmParams(n_subcarriers=64, cp_len=8),
+            channel=ChannelScenario(snr_db=math.inf),
+            methods=[Method.CBM, Method.DBM_LITERAL],
+        )
+        assert scenario.methods == (Method.CBM, Method.DBM_LITERAL)
+        assert list(run_trial(scenario, 1, seed=2).estimates) == list(scenario.methods)
 
     def test_every_method_gets_the_default_window(self, monkeypatch):
         seen = []
