@@ -93,6 +93,68 @@ class TestApplyCir:
             apply_cir(_unit_stream(n=16), [])
 
 
+def _sparse_stream(length, rows, seed=0):
+    """One row per list of [start, stop) spans: random samples inside them, zeros elsewhere."""
+    rng = np.random.default_rng(seed)
+    branches = np.zeros((len(rows), length), dtype=np.complex128)
+    for row, spans in zip(branches, rows):
+        for start, stop in spans:
+            draw = rng.standard_normal((2, stop - start))
+            row[start:stop] = draw[0] + 1j * draw[1]
+    return SampleStream(branches=branches, sample_origin=0)
+
+
+class TestApplyCirEqualsFullConvolution:
+    """Each output row is np.convolve over the whole row, truncated, bit for bit.
+
+    .tobytes() equality also compares the signs of zeros.
+    """
+
+    @staticmethod
+    def _assert_full_convolution(stream, taps):
+        out = apply_cir(stream, taps)
+        h = np.asarray(taps, dtype=np.complex128)
+        assert out.branches.shape == stream.branches.shape
+        for row, b in zip(out.branches, stream.branches):
+            assert row.tobytes() == np.convolve(b, h)[: b.size].tobytes()
+
+    @pytest.mark.parametrize("n", [64, 128, 1024])
+    @pytest.mark.parametrize("n_taps", [1, 10, "n+5"])
+    def test_frames(self, n, n_taps):
+        n_taps = n + 5 if n_taps == "n+5" else n_taps
+        stream = build_frame(OfdmParams(n, n // 4), seed=n)
+        self._assert_full_convolution(stream, random_cir(n_taps, seed=n_taps, normalize=True))
+
+    def test_fixture_on_frame(self):
+        self._assert_full_convolution(_frame_128(), CIR_FIXTURE)
+
+    def test_noisy_stream_with_data_in_its_guards(self):
+        stream = add_awgn(replicate_branches(_frame_128(), 3), 2.0, seed=7)
+        assert stream.branches[:, : stream.payload_start].all()
+        assert stream.branches[:, stream.payload_stop :].all()
+        self._assert_full_convolution(stream, random_cir(10, seed=8))
+
+    @pytest.mark.parametrize(
+        "spans",
+        [[(0, 1)], [(299, 300)], [(0, 1), (299, 300)], [(0, 300)]],
+        ids=["first-index", "last-index", "both-ends", "whole-row"],
+    )
+    def test_support_at_the_buffer_ends(self, spans):
+        stream = _sparse_stream(300, [spans])
+        for taps in ([1.0], CIR_FIXTURE, random_cir(40, seed=9)):
+            self._assert_full_convolution(stream, taps)
+
+    def test_all_zero_stream(self):
+        stream = SampleStream(branches=np.zeros((2, 100), dtype=np.complex128), sample_origin=0)
+        self._assert_full_convolution(stream, CIR_FIXTURE)
+        assert not apply_cir(stream, CIR_FIXTURE).branches.any()
+
+    def test_rows_with_different_supports(self):
+        stream = _sparse_stream(500, [[(10, 60)], [(200, 210)], [(480, 500)]], seed=3)
+        for taps in (CIR_FIXTURE, random_cir(25, seed=4)):
+            self._assert_full_convolution(stream, taps)
+
+
 class TestRandomCir:
     def test_deterministic_per_seed(self):
         np.testing.assert_array_equal(random_cir(10, seed=7), random_cir(10, seed=7))
