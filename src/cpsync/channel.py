@@ -134,16 +134,29 @@ def apply_cir(stream: SampleStream, taps) -> SampleStream:
     Output is truncated to the input length; the tail transient is absorbed
     by the frame's trailing zero guard, which keeps index bookkeeping exact
     for timing scoring.
+
+    Only the columns the input's non-zero samples reach are convolved: from
+    the first column where any branch is non-zero up to len(taps) - 1 past
+    the last one. The columns outside stay exact zeros, and every column
+    inside is the same dot over the same samples as np.convolve of the whole
+    row, so the output equals np.convolve(b, taps)[:b.size] bit for bit.
     """
     h = np.asarray(taps, dtype=np.complex128).ravel()
     if h.size == 0:
         raise ValueError("cir taps must contain at least one coefficient")
     if not np.all(np.isfinite(h)):
         raise ValueError("cir taps must be finite")
-    # numpy has no batched 1-D convolve, so this is one call per row.
-    out = np.stack([np.convolve(b, h)[: b.size] for b in stream.branches])
-    if not np.isfinite(out).all():
-        raise ValueError("apply_cir output is non-finite: the convolution overflows float64")
+    out = np.zeros(stream.branches.shape, dtype=np.complex128)
+    # The support is scanned, not read from the payload bounds: noise fills the guards.
+    support = np.flatnonzero(stream.branches.any(axis=0))
+    if support.size:
+        lo, hi = support[0], min(support[-1] + h.size, stream.buffer_len)
+        start = max(lo - h.size + 1, 0)
+        # numpy has no batched 1-D convolve, so this is one call per row.
+        for row, b in zip(out, stream.branches):
+            row[lo:hi] = np.convolve(b[start:hi], h)[lo - start : hi - start]
+        if not np.isfinite(out[:, lo:hi]).all():
+            raise ValueError("apply_cir output is non-finite: the convolution overflows float64")
     return stream._derive(branches=out)
 
 

@@ -184,6 +184,8 @@ def _accumulated_pair_series(stream: SampleStream, cfg: EstimatorConfig) -> np.n
 def _argopt(offsets: np.ndarray, values: np.ndarray, maximize: bool) -> int:
     opt = values.max() if maximize else values.min()
     ties = offsets[values == opt]
+    if ties.size == 1:  # the common case needs no tie rule
+        return int(ties[0])
     return min((int(d) for d in ties), key=lambda d: (abs(d), d))
 
 

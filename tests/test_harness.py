@@ -229,6 +229,22 @@ class TestMethodStats:
         assert stats.mean_sq_error == 6.75
         assert stats.error_histogram == {-1: 1, 0: 1, 1: 1, 5: 1}
 
+    @pytest.mark.parametrize("n", [1, 3, 15, 1000, 100_003])
+    def test_fields_equal_np_mean_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        errors = rng.integers(-40, 41, n) * (rng.random(n) < 0.6)
+        abs_err = np.abs(errors)
+        expected = {
+            "exact_hit_rate": np.mean(errors == 0),
+            "within_1_rate": np.mean(abs_err <= 1),
+            "mean_abs_error": np.mean(abs_err),
+            "mean_sq_error": np.mean(abs_err.astype(np.float64) ** 2),
+        }
+        stats = MethodStats.from_errors(errors)
+        for name, value in expected.items():
+            got = getattr(stats, name)
+            assert type(got) is float and got.hex() == float(value).hex(), name
+
 
 class TestRunMonteCarlo:
     def test_single_trial_base_case(self):
