@@ -159,9 +159,11 @@ class MethodStats:
     @classmethod
     def from_errors(cls, errors: np.ndarray) -> "MethodStats":
         errors = np.asarray(errors, dtype=np.int64)
+        n = errors.size
+        if n == 0:
+            raise ValueError("errors must hold at least one trial's error")
         uniques, counts = np.unique(errors, return_counts=True)
         hist = dict(zip(uniques.tolist(), counts.tolist()))
-        n = errors.size
         # Every field is an exact integer sum over the histogram divided by n;
         # below 2**53 that equals np.mean over the per-trial values bit for bit.
         return cls(

@@ -229,6 +229,10 @@ class TestMethodStats:
         assert stats.mean_sq_error == 6.75
         assert stats.error_histogram == {-1: 1, 0: 1, 1: 1, 5: 1}
 
+    def test_empty_errors_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            MethodStats.from_errors(np.array([], dtype=np.int64))
+
     @pytest.mark.parametrize("n", [1, 3, 15, 1000, 100_003])
     def test_fields_equal_np_mean_bit_for_bit(self, n):
         rng = np.random.default_rng(n)
