@@ -117,6 +117,9 @@ class Scenario:
             raise ValueError("scenario label must be non-empty")
         if not self.methods:
             raise ValueError("scenario needs at least one method")
+        if len(set(self.methods)) != len(self.methods):
+            names = ", ".join(m.value for m in self.methods)
+            raise ValueError(f"methods must not repeat, got ({names})")
         if not self.sto_values:
             raise ValueError("scenario needs at least one true offset")
         for sto in self.sto_values:

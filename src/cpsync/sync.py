@@ -30,8 +30,9 @@ The sums run in one fixed order: each (branch, symbol) row of per-index
 terms is added to the running total branch-major, then symbol, one row
 after another. Every output is bit-for-bit that of a plain loop over the
 rows, so that order is part of the contract. The block pairs are read
-through one as_strided view of the stream, and the candidate windows
-through one np.ndarray view of the accumulated series; neither copies.
+through one np.ndarray view of the stream's buffer, and the candidate
+windows through one np.ndarray view of the accumulated series; neither
+copies, and numpy checks that each view lies inside its buffer.
 
 Ties are broken toward the smallest |d|, then the smaller d.
 """
@@ -43,7 +44,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .txgen import OfdmParams, SampleStream, _unchecked
 
@@ -160,13 +160,16 @@ def _accumulated_pair_series(stream: SampleStream, cfg: EstimatorConfig) -> np.n
     own buffer.
     """
     span = cfg.search_max - cfg.search_min + cfg.cp_len
-    y = stream.branches[:, cfg.n + cfg.search_min :]
-    row_step, step = y.strides
-    pairs = as_strided(
-        y,
+    branches = stream.branches
+    row_step, step = branches.strides
+    # A broadcast stream (row stride 0) repeats its first row, whose buffer holds every sample.
+    buffer = branches if row_step else branches[0]
+    pairs = np.ndarray(
         (stream.n_branches, cfg.symbols_averaged, 2, span),
+        branches.dtype,
+        buffer,
+        (cfg.n + cfg.search_min) * step,
         (row_step, cfg.stride * step, cfg.n_fft * step, step),
-        writeable=False,
     )
     lead, lag = pairs[:, :, 0], pairs[:, :, 1]
     if cfg.method is Method.CBM:
@@ -176,9 +179,14 @@ def _accumulated_pair_series(stream: SampleStream, cfg: EstimatorConfig) -> np.n
         term = np.abs(lead - np.conj(lag)) ** 2
     else:
         term = (np.abs(lead) - np.abs(lag)) ** 2
-    # accumulate adds row after row by definition, the order of the contract;
-    # reduce sums the rows pairwise when span is 1, which changes the last bits.
-    return np.add.accumulate(term.reshape(-1, span), axis=0)[-1]
+    rows = term.reshape(-1, span)
+    if span == 1:
+        # One entry per row leaves one contiguous column, which reduce would sum
+        # pairwise and so change the last bits; accumulate adds row after row.
+        return np.add.accumulate(rows, axis=0)[-1]
+    # With 2 or more entries per row, reduce adds row after row, the order of
+    # the contract, without writing every partial sum as accumulate does.
+    return np.add.reduce(rows, axis=0)
 
 
 def _argopt(offsets: np.ndarray, values: np.ndarray, maximize: bool) -> int:
@@ -198,7 +206,7 @@ def estimate_sto(stream: SampleStream, cfg: EstimatorConfig) -> MetricTrace:
     _check_window(stream, cfg)
     series = _accumulated_pair_series(stream, cfg)
     # series holds span >= cp_len entries, so every window lies inside it;
-    # np.ndarray over its buffer skips as_strided's per-call overhead.
+    # np.ndarray over its buffer costs no Python-level stride helper.
     step = series.itemsize
     width = series.size - cfg.cp_len + 1
     windows = np.ndarray((width, cfg.cp_len), series.dtype, series, 0, (step, step)).sum(axis=1)

@@ -95,12 +95,21 @@ def test_run_trial_hands_estimate_sto_one_call_per_method(monkeypatch):
         channel=ChannelScenario(snr_db=math.inf),
         methods=(Method.DBM_LITERAL, Method.CBM),
     )
-    for scenario, sto in ((fixture, 3), (diversity, -2), (noiseless, 1), (two_symbols, 1)):
+    # No noise and no CFO: estimate_sto gets replicate_branches' broadcast view (row stride 0).
+    noiseless_rx3 = Scenario(
+        label="contract-noiseless-rx3",
+        ofdm=OfdmParams(n_subcarriers=64, cp_len=16),
+        channel=ChannelScenario(snr_db=math.inf, rx_branches=3),
+    )
+    cases = ((fixture, 3), (diversity, -2), (noiseless, 1), (two_symbols, 1), (noiseless_rx3, 2))
+    for scenario, sto in cases:
         captured.clear()
         result = harness.run_trial(scenario, sto, seed=11)
         assert [cfg.method for _, cfg, _ in captured] == list(scenario.methods)
         for stream, cfg, trace in captured:
             assert type(stream) is SampleStream and type(cfg) is EstimatorConfig
+            if scenario is noiseless_rx3:
+                assert stream.n_branches == 3 and stream.branches.strides[0] == 0
             assert cfg == default_config(stream, scenario.ofdm, cfg.method)
             expected = [
                 brute_force_metric(stream.branches, cfg.n, cfg.n_fft, cfg.cp_len,

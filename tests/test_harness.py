@@ -118,6 +118,16 @@ class TestReferenceScenarios:
                 fresh_cir_per_trial=True,
             )
 
+    def test_repeated_method_rejected(self):
+        # run_monte_carlo keys its statistics by method, so a repeat would fold two runs into one.
+        with pytest.raises(ValueError, match=r"methods must not repeat, got \(cbm, dbm-mag, cbm\)"):
+            Scenario(
+                label="bad",
+                ofdm=OfdmParams(n_subcarriers=128, cp_len=32),
+                channel=ChannelScenario(snr_db=10.0),
+                methods=(Method.CBM, Method.DBM_MAGNITUDE, Method.CBM),
+            )
+
 
 class TestRunTrial:
     def test_noiseless_recovery(self):

@@ -22,7 +22,7 @@ from cpsync import (
     estimate_sto,
     replicate_branches,
 )
-from cpsync.sync import _argopt, check_search_offset
+from cpsync.sync import _accumulated_pair_series, _argopt, check_search_offset
 
 from oracles import accumulated_pair_series, brute_force_metric, relative_error
 
@@ -315,6 +315,28 @@ class TestBitExactAccumulation:
             values, argopt = _row_by_row_trace(stream, cfg)
             assert trace.values.tobytes() == values.tobytes()
             assert trace.argopt == argopt
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_window_touching_both_buffer_ends(self, method):
+        # search_min = -n reads the buffer's first sample, search_max its last.
+        frame = apply_sto(build_frame(SMALL, seed=61), 2)
+        broadcast = replicate_branches(frame, 3)
+        for stream in (frame, broadcast, add_awgn(broadcast, 4.0, seed=62)):
+            n, averaged = stream.sample_origin, SMALL.symbols_per_frame
+            search_max = stream.buffer_len - n - averaged * SMALL.symbol_len
+            cfg = EstimatorConfig(method, -n, search_max, n=n, n_fft=SMALL.n_subcarriers,
+                                  cp_len=SMALL.cp_len, symbols_averaged=averaged)
+            trace = estimate_sto(stream, cfg)
+            values, argopt = _row_by_row_trace(stream, cfg)
+            assert trace.values.tobytes() == values.tobytes()
+            assert trace.argopt == argopt
+            # One sample further on either end leaves the buffer: _check_window
+            # rejects it, and the pair view itself could not be built past the end.
+            for wider in (dict(search_min=-n - 1), dict(search_max=search_max + 1)):
+                with pytest.raises(ValueError, match="exceeds the buffer"):
+                    estimate_sto(stream, dataclasses.replace(cfg, **wider))
+            with pytest.raises(ValueError, match="size of buffer"):
+                _accumulated_pair_series(stream, dataclasses.replace(cfg, search_max=search_max + 1))
 
     @pytest.mark.parametrize("method", list(Method))
     def test_row_slice_and_read_only_streams(self, method):
