@@ -10,7 +10,6 @@ multipath convolution, so runs across channel types compare at equal receiver SN
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -211,12 +210,5 @@ def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if n_fft < 1:
         raise ValueError(f"n_fft must be >= 1, got {n_fft}")
-    return stream._derive(branches=stream.branches * _cfo_ramp(stream.buffer_len, epsilon, n_fft))
-
-
-@functools.lru_cache(maxsize=32)
-def _cfo_ramp(buffer_len: int, epsilon: float, n_fft: int) -> np.ndarray:
-    """apply_cfo's phase ramp, read-only and memoised: every trial of a cell shares it."""
-    phase = np.exp(2j * np.pi * epsilon * np.arange(buffer_len) / n_fft)
-    phase.flags.writeable = False
-    return phase
+    phase = np.exp(2j * np.pi * epsilon * np.arange(stream.buffer_len) / n_fft)
+    return stream._derive(branches=stream.branches * phase)

@@ -135,15 +135,9 @@ class SampleStream:
         if self.payload_stop == self.payload_start:
             raise ValueError("stream has an empty payload region")
         payload = self.branches[:, self.payload_start : self.payload_stop]
-        n, length = payload.shape
         # np.mean's own arithmetic, a sum and one division per level, without its wrapper.
-        if self.branches.strides[0] == 0:
-            # A broadcast view's rows are one row: measure it once, then sum
-            # n copies of its mean, the same floats the branch mean always saw.
-            row_means = np.full(n, np.add.reduce(np.abs(payload[0]) ** 2) / length)
-        else:
-            row_means = np.add.reduce(np.abs(payload) ** 2, axis=1) / length
-        return float(np.add.reduce(row_means) / n)
+        row_means = np.add.reduce(np.abs(payload) ** 2, axis=1) / payload.shape[1]
+        return float(np.add.reduce(row_means) / row_means.size)
 
     def _derive(self, **changes) -> "SampleStream":
         """This stream with fields changed and not re-validated; buffers are shared."""

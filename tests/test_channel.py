@@ -19,7 +19,6 @@ from cpsync import (
     random_cir,
     replicate_branches,
 )
-from cpsync.channel import _cfo_ramp
 
 # Regression constant: energy of the frozen 10-tap fixture, computed once by
 # direct summation over the printed coefficients.
@@ -279,21 +278,6 @@ class TestApplyCfo:
     def test_non_finite_epsilon_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             apply_cfo(_unit_stream(n=8), math.inf, n_fft=4)
-
-    @pytest.mark.parametrize("epsilon", [0.0, -0.0, 0.2, -1.37, 3])
-    def test_memoised_ramp_equals_inline_phase_bytes(self, epsilon):
-        stream = _unit_stream(n=300, seed=22, branches=3)
-        phase = np.exp(2j * np.pi * epsilon * np.arange(300) / 64)
-        for _ in range(2):  # the first call fills the cache, the second reads it
-            out = apply_cfo(stream, epsilon, n_fft=64)
-            assert out.branches.tobytes() == (stream.branches * phase).tobytes()
-
-    def test_memoised_ramp_is_read_only(self):
-        apply_cfo(_unit_stream(n=40, seed=23), 0.3, n_fft=8)
-        ramp = _cfo_ramp(40, 0.3, 8)
-        assert ramp is _cfo_ramp(40, 0.3, 8)
-        with pytest.raises(ValueError, match="read-only"):
-            ramp[0] = 0.0
 
 
 def _public_copy(stream):
