@@ -10,6 +10,7 @@ multipath convolution, so runs across channel types compare at equal receiver SN
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -210,5 +211,19 @@ def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if n_fft < 1:
         raise ValueError(f"n_fft must be >= 1, got {n_fft}")
-    phase = np.exp(2j * np.pi * epsilon * np.arange(stream.buffer_len) / n_fft)
-    return stream._derive(branches=stream.branches * phase)
+    ramp = _cfo_ramp(stream.buffer_len, epsilon, n_fft, math.copysign(1.0, epsilon))
+    return stream._derive(branches=stream.branches * ramp)
+
+
+@functools.lru_cache(maxsize=32, typed=True)
+def _cfo_ramp(buffer_len: int, epsilon: float, n_fft: int, sign: float) -> np.ndarray:
+    """apply_cfo's phase ramp, read-only and memoised: every trial of a cell shares it.
+
+    The key matches epsilon exactly. typed keeps 0.5 apart from np.float32(0.5),
+    whose product rounds differently. sign keeps -0.0 apart from 0.0: they compare
+    equal, and their ramps agree only while np.exp maps the signed zeros of the
+    product to the same values.
+    """
+    phase = np.exp(2j * np.pi * epsilon * np.arange(buffer_len) / n_fft)
+    phase.flags.writeable = False
+    return phase

@@ -19,6 +19,7 @@ from cpsync import (
     random_cir,
     replicate_branches,
 )
+from cpsync.channel import _cfo_ramp
 
 # Regression constant: energy of the frozen 10-tap fixture, computed once by
 # direct summation over the printed coefficients.
@@ -278,6 +279,30 @@ class TestApplyCfo:
     def test_non_finite_epsilon_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             apply_cfo(_unit_stream(n=8), math.inf, n_fft=4)
+
+    @pytest.mark.parametrize("epsilons", [
+        (0.0, -0.0),  # equal values: neither may be handed the other's ramp
+        (-0.0, 0.0),
+        (0.5, np.float32(0.5), 0.5),  # equal, but the float32 product rounds differently
+        (3, 3.0, -1.37, 0.2),
+    ])
+    def test_memoised_ramp_equals_inline_phase_bytes(self, epsilons):
+        # Signed-zero real parts would show a ramp's signed-zero imaginary parts.
+        rows = _unit_stream(n=300, seed=22, branches=3).branches.copy()
+        rows[:, :4] = [complex(-0.0, 1.0), complex(-0.0, -1.0), complex(0.0, -1.0), complex(-0.0, -0.0)]
+        stream = SampleStream(branches=rows, sample_origin=0)
+        _cfo_ramp.cache_clear()
+        for epsilon in epsilons:  # each call after the first may read the cache
+            phase = np.exp(2j * np.pi * epsilon * np.arange(300) / 64)
+            out = apply_cfo(stream, epsilon, n_fft=64)
+            assert out.branches.tobytes() == (stream.branches * phase).tobytes()
+
+    def test_memoised_ramp_is_read_only(self):
+        apply_cfo(_unit_stream(n=40, seed=23), 0.3, n_fft=8)
+        ramp = _cfo_ramp(40, 0.3, 8, 1.0)
+        assert ramp is _cfo_ramp(40, 0.3, 8, 1.0)
+        with pytest.raises(ValueError, match="read-only"):
+            ramp[0] = 0.0
 
 
 def _public_copy(stream):
