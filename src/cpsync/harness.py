@@ -35,7 +35,6 @@ from .channel import (
     random_cir,
     replicate_branches,
 )
-from .spectral import dft
 from .sync import Method, MetricTrace, _default_configs, check_search_offset, estimate_sto
 from .txgen import OfdmParams, build_frame
 
@@ -284,7 +283,7 @@ def freq_response(taps, n_points: int) -> list[tuple[int, float, float]]:
     padded = np.zeros(n_points, dtype=np.complex128)
     padded[: h.size] = h
     with np.errstate(over="ignore", invalid="ignore"):
-        response = dft(padded)
+        response = np.fft.fft(padded)
         magnitude = np.abs(response)
     if not np.isfinite(magnitude).all():
         raise ValueError("freq_response output overflows float64")

@@ -9,7 +9,7 @@ so that idft(dft(x)) == x and Parseval reads sum|x|^2 == (1/N)*sum|X|^2.
 
 Both directions are numpy.fft with its default norm="backward", which is
 exactly this convention, for any length. All arithmetic is complex double
-precision. idft also takes a (rows x N) stack and transforms each row.
+precision. Both take checked 1-D vectors; the trial loop calls numpy.fft itself.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import numpy as np
 __all__ = ["dft", "idft"]
 
 
-def _checked_input(x, name: str, stack: bool = False) -> np.ndarray:
+def _checked_input(x, name: str) -> np.ndarray:
     arr = np.asarray(x, dtype=np.complex128)
-    if arr.ndim != 1 and not (stack and arr.ndim == 2):
-        kind = "a 1-D vector or a 2-D stack of rows" if stack else "a 1-D vector"
-        raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
+    if arr.ndim != 1:
+        raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
     if arr.size == 0:
         raise ValueError(f"{name} must not be empty")
     if not np.isfinite(arr).all():
@@ -40,8 +39,5 @@ def dft(x) -> np.ndarray:
 
 
 def idft(spectrum) -> np.ndarray:
-    """Inverse transform with 1/N scaling; exact inverse of :func:`dft`.
-
-    A 2-D (rows x N) stack is transformed row by row.
-    """
-    return np.fft.ifft(_checked_input(spectrum, "spectrum", stack=True))
+    """Inverse transform with 1/N scaling; exact inverse of :func:`dft`, with its checks."""
+    return np.fft.ifft(_checked_input(spectrum, "spectrum"))

@@ -17,8 +17,8 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-
-from .spectral import idft
+# numpy's own inverse FFT; the name idft stays because perfbench's tracer times it.
+from numpy.fft import ifft as idft
 
 __all__ = [
     "Constellation",
@@ -182,7 +182,7 @@ def build_frame(params: OfdmParams, seed: int) -> SampleStream:
     rng = np.random.default_rng(seed)
     n, cp, count = params.n_subcarriers, params.cp_len, params.symbols_per_frame
     k = params.constellation.bits_per_symbol
-    # The draw holds only 0s and 1s by construction, so map_bits' checks are skipped.
+    # A 0/1 draw and finite table points: map_bits' and spectral.idft's checks are skipped.
     bits = rng.integers(0, 2, size=(count, n * k))
     bodies = idft(_points(bits.reshape(-1, k), params.constellation).reshape(count, n) * np.sqrt(n))
     payload_stop = n + count * params.symbol_len
