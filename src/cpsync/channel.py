@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txgen import SampleStream
+from .txgen import SampleStream, _check_integer
 
 __all__ = [
     "CIR_FIXTURE",
@@ -94,6 +94,9 @@ class ChannelScenario:
     def __post_init__(self) -> None:
         if not _snr_db_sizes_noise(self.snr_db):
             raise ValueError(f"snr_db={self.snr_db} cannot size noise; {_SNR_DB_RULE}")
+        if self.cfo is not None and not isinstance(self.cfo, CfoParams):
+            raise ValueError(f"cfo must be a CfoParams or None, got {self.cfo!r}")
+        _check_integer("rx_branches", self.rx_branches)
         if self.rx_branches < 1:
             raise ValueError(f"rx_branches must be >= 1, got {self.rx_branches}")
         taps = tuple(map(complex, self.cir_taps))

@@ -116,6 +116,9 @@ class Scenario:
             raise ValueError("scenario label must be non-empty")
         if not self.methods:
             raise ValueError("scenario needs at least one method")
+        for method in self.methods:
+            if not isinstance(method, Method):
+                raise ValueError(f"methods must hold Method members, got {method!r}")
         if len(set(self.methods)) != len(self.methods):
             names = ", ".join(m.value for m in self.methods)
             raise ValueError(f"methods must not repeat, got ({names})")

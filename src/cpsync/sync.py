@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txgen import OfdmParams, SampleStream, _unchecked
+from .txgen import OfdmParams, SampleStream, _check_integer, _unchecked
 
 __all__ = [
     "Method",
@@ -83,6 +83,8 @@ class EstimatorConfig:
     symbols_averaged: int = 1
 
     def __post_init__(self) -> None:
+        if not isinstance(self.method, Method):
+            raise ValueError(f"method must be a Method, got {self.method!r}")
         if not self.search_min <= 0 <= self.search_max:
             raise ValueError(
                 f"search range [{self.search_min}, {self.search_max}] must contain 0"
@@ -230,10 +232,11 @@ def _search_half_width(params: OfdmParams) -> int:
 
 
 def check_search_offset(name: str, sto: int, params: OfdmParams) -> None:
-    """Reject a true offset that default_config's search cannot recover.
+    """Reject a non-integer offset, or one that default_config's search cannot recover.
 
     The rule: |sto| <= min(2*cp_len, n_subcarriers - 1), the latter the frame's guard.
     """
+    _check_integer(name, sto)
     limit = min(_search_half_width(params), params.n_subcarriers - 1)
     if abs(sto) > limit:
         raise ValueError(

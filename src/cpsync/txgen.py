@@ -45,6 +45,12 @@ class Constellation(enum.Enum):
         return 2 if self is Constellation.QPSK else 4
 
 
+def _check_integer(name: str, value) -> None:
+    """Reject a value that is not a Python or numpy integer; bool counts as not one."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class OfdmParams:
     """Static description of one OFDM waveform configuration.
@@ -59,6 +65,8 @@ class OfdmParams:
     symbols_per_frame: int = 4
 
     def __post_init__(self) -> None:
+        for name in ("n_subcarriers", "cp_len", "symbols_per_frame"):
+            _check_integer(name, getattr(self, name))
         if self.n_subcarriers < 2:
             raise ValueError(f"n_subcarriers must be >= 2, got {self.n_subcarriers}")
         if not 0 < self.cp_len < self.n_subcarriers:

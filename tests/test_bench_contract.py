@@ -58,7 +58,11 @@ def test_traced_names_record_spans():
         "channel.apply_sto",
         "channel.add_awgn",
     } | {f"sync.estimate_sto.{m.value}" for m in Method}
-    assert expected <= set(tracer.calls())
+    calls = tracer.calls()
+    assert expected <= set(calls)
+    # The per-trial call counts --trace 1 reports: one stacked transform per frame.
+    once = {"txgen.build_frame", "spectral.idft"} | {f"sync.estimate_sto.{m.value}" for m in Method}
+    assert {name: calls[name] for name in once} == dict.fromkeys(once, 1)
     assert harness.run_trial.__module__ == "cpsync.harness"
     # Streams and traces the pipeline derives are valid by construction:
     # no trial re-runs the public constructors' checks.
@@ -125,7 +129,7 @@ def test_run_monte_carlo_calls_run_trial_once_per_trial(monkeypatch):
 
     A core that evaluates blocks of trials without calling that name would
     leave the tracer with no trial to count, so it needs the tracer's block
-    span first (ROADMAP item 1, Step 1).
+    span first (ROADMAP item 1, its block span).
     """
     calls = []
     original = harness.run_trial

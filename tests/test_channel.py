@@ -385,6 +385,11 @@ class TestScenarioTypes:
                 ChannelScenario(snr_db=snr_db)
         with pytest.raises(ValueError, match="rx_branches"):
             ChannelScenario(snr_db=10.0, rx_branches=0)
+        with pytest.raises(ValueError, match="rx_branches must be an integer, got 2.5"):
+            ChannelScenario(snr_db=10.0, rx_branches=2.5)
+        assert ChannelScenario(snr_db=10.0, rx_branches=np.int64(2)).rx_branches == 2
+        with pytest.raises(ValueError, match="cfo must be a CfoParams or None, got 0.2"):
+            ChannelScenario(snr_db=10.0, cfo=0.2)
         with pytest.raises(ValueError, match="finite"):
             ChannelScenario(snr_db=10.0, cir_taps=(complex(math.inf, 0),))
 

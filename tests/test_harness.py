@@ -117,6 +117,22 @@ class TestReferenceScenarios:
                 channel=ChannelScenario(snr_db=10.0, cir_taps=CIR_FIXTURE),
                 fresh_cir_per_trial=True,
             )
+        # Checked before the repeat check, which reads each method's value.
+        for methods in (("cbm",), ("cbm", "cbm")):
+            with pytest.raises(ValueError, match="methods must hold Method members, got 'cbm'"):
+                Scenario(
+                    label="bad",
+                    ofdm=OfdmParams(n_subcarriers=128, cp_len=32),
+                    channel=ChannelScenario(snr_db=10.0),
+                    methods=methods,
+                )
+        with pytest.raises(ValueError, match="sto must be an integer, got 2.5"):
+            Scenario(
+                label="bad",
+                ofdm=OfdmParams(n_subcarriers=128, cp_len=32),
+                channel=ChannelScenario(snr_db=10.0),
+                sto_values=(2.5,),
+            )
 
     def test_repeated_method_rejected(self):
         # run_monte_carlo keys its statistics by method, so a repeat would fold two runs into one.

@@ -59,6 +59,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="n_fft"):
             EstimatorConfig(Method.CBM, -1, 1, n=0, n_fft=4, cp_len=8)
 
+    def test_method_must_be_a_member(self):
+        # A method string used to pass here and fail inside estimate_sto.
+        with pytest.raises(ValueError, match="method must be a Method, got 'cbm'"):
+            EstimatorConfig("cbm", -4, 4, n=128, n_fft=128, cp_len=32)
+
     def test_symbols_averaged_positive(self):
         with pytest.raises(ValueError, match="symbols_averaged"):
             EstimatorConfig(Method.CBM, -1, 1, n=0, n_fft=16, cp_len=4, symbols_averaged=0)
@@ -88,6 +93,12 @@ class TestSearchOffsetRule:
                     else:
                         with pytest.raises(ValueError, match="outside"):
                             check_search_offset("sto", sto, params)
+
+    def test_offset_must_be_an_integer(self):
+        check_search_offset("sto", np.int64(3), DEFAULT)
+        for bad in (2.5, 3.0, True):
+            with pytest.raises(ValueError, match=r"^sto must be an integer"):
+                check_search_offset("sto", bad, DEFAULT)
 
 
 class TestMetricTraceValidation:

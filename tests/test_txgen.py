@@ -266,3 +266,15 @@ class TestOfdmParamsValidation:
     def test_symbols_per_frame(self):
         with pytest.raises(ValueError, match="symbols_per_frame"):
             OfdmParams(n_subcarriers=64, cp_len=16, symbols_per_frame=0)
+
+    def test_sizes_must_be_integers(self):
+        # A float size used to pass here and fail inside build_frame's numpy calls.
+        with pytest.raises(ValueError, match="n_subcarriers must be an integer, got 128.0"):
+            OfdmParams(n_subcarriers=128.0, cp_len=32)
+        with pytest.raises(ValueError, match="cp_len must be an integer"):
+            OfdmParams(n_subcarriers=128, cp_len="32")
+        for bad in (2.0, True):
+            with pytest.raises(ValueError, match="symbols_per_frame must be an integer"):
+                OfdmParams(n_subcarriers=128, cp_len=32, symbols_per_frame=bad)
+        params = OfdmParams(np.int64(128), np.int32(32), symbols_per_frame=np.int16(2))
+        assert params.symbol_len == 160
