@@ -97,6 +97,11 @@ def test_empty_and_non_vector_rejected():
                 transform(np.ones(shape))
 
 
+def test_idft_rejects_3d_input():
+    with pytest.raises(ValueError, match="must be a 1-D vector"):
+        idft(np.ones((2, 2, 4)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     n=st.sampled_from([2, 4, 8, 16, 32, 64, 6, 10, 24]),
