@@ -59,7 +59,15 @@ def _snr_db_sizes_noise(snr_db: float) -> bool:
     """True for +inf (no noise) or snr_db >= MIN_SNR_DB with 10^(snr_db/10) finite."""
     try:
         return snr_db == math.inf or (snr_db >= MIN_SNR_DB and 10.0 ** (snr_db / 10.0) < math.inf)
-    except OverflowError:
+    except (OverflowError, TypeError):  # TypeError: not a real number, e.g. a string
+        return False
+
+
+def _is_finite(value) -> bool:
+    """math.isfinite, with False for a value that is not a real number."""
+    try:
+        return math.isfinite(value)
+    except TypeError:
         return False
 
 
@@ -73,7 +81,7 @@ class CfoParams:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not math.isfinite(self.epsilon):
+        if not _is_finite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon}")
 
 
@@ -123,6 +131,7 @@ def apply_sto(stream: SampleStream, delta: int) -> SampleStream:
     which is the convention under which the estimators recover delta itself.
     Sample values are untouched; only sample_origin moves.
     """
+    _check_integer("delta", delta)
     new_origin = stream.sample_origin - delta
     if not 0 <= new_origin < stream.buffer_len:
         raise ValueError(
@@ -170,6 +179,7 @@ def random_cir(n_taps: int, seed: int, normalize: bool = False) -> np.ndarray:
     Tap magnitudes are therefore Rayleigh distributed. With normalize=True
     the taps are rescaled so sum(|h|^2) == 1.
     """
+    _check_integer("n_taps", n_taps)
     if n_taps < 1:
         raise ValueError(f"n_taps must be >= 1, got {n_taps}")
     rng = np.random.default_rng(seed)
@@ -210,7 +220,7 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
 
 def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
     """Rotate sample m by exp(j*2*pi*epsilon*m/n_fft) on every branch."""
-    if not math.isfinite(epsilon):
+    if not _is_finite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
     if n_fft < 1:
         raise ValueError(f"n_fft must be >= 1, got {n_fft}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +36,7 @@ from .channel import (
     replicate_branches,
 )
 from .sync import Method, MetricTrace, _default_configs, check_search_offset, estimate_sto
-from .txgen import OfdmParams, build_frame
+from .txgen import OfdmParams, _check_integer, build_frame
 
 __all__ = [
     "ALL_METHODS",
@@ -128,8 +128,10 @@ class Scenario:
             check_search_offset("sto", sto, self.ofdm)
         if self.fresh_cir_per_trial and self.channel.cir_taps:
             raise ValueError("fresh_cir_per_trial excludes fixed cir_taps")
-        if self.fresh_cir_per_trial and self.n_random_taps < 1:
-            raise ValueError(f"n_random_taps must be >= 1, got {self.n_random_taps}")
+        if self.fresh_cir_per_trial:
+            _check_integer("n_random_taps", self.n_random_taps)
+            if self.n_random_taps < 1:
+                raise ValueError(f"n_random_taps must be >= 1, got {self.n_random_taps}")
 
     @property
     def channel_mode(self) -> str:
@@ -186,14 +188,7 @@ class ScenarioStats:
 
     label: str
     n_trials: int
-    methods: dict[Method, MethodStats] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for method, stats in self.methods.items():
-            if not 0.0 <= stats.exact_hit_rate <= stats.within_1_rate <= 1.0:
-                raise ValueError(f"rate ordering violated for {method.value}")
-            if sum(stats.error_histogram.values()) != self.n_trials:
-                raise ValueError(f"histogram mass != n_trials for {method.value}")
+    methods: dict[Method, MethodStats]
 
 
 def _grid(
@@ -255,6 +250,7 @@ def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
 
 def run_monte_carlo(scenario: Scenario, n_trials: int, master_seed: int) -> ScenarioStats:
     """Aggregate run_trial over n_trials derived seeds, cycling the offset set."""
+    _check_integer("n_trials", n_trials)
     if n_trials < 1:
         raise ValueError(f"n_trials must be >= 1, got {n_trials}")
     errors: dict[Method, list[int]] = {m: [] for m in scenario.methods}
@@ -281,6 +277,7 @@ def freq_response(taps, n_points: int) -> list[tuple[int, float, float]]:
         raise ValueError("taps must contain at least one coefficient")
     if not np.isfinite(h).all():
         raise ValueError("taps must be finite")
+    _check_integer("n_points", n_points)
     if n_points < h.size:
         raise ValueError(f"n_points={n_points} smaller than tap count {h.size}")
     padded = np.zeros(n_points, dtype=np.complex128)

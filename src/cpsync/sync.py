@@ -12,7 +12,9 @@ over all receive branches l:
     DBM_LITERAL    value(d) = sum_{l,s,i} |y_l[b+i] - conj(y_l[b+n_fft+i])|^2
 
 with b = n + s*(n_fft+cp_len) + d and i in [0, cp_len). CBM picks the arg
-max, the DBM variants the arg min. DBM_MAGNITUDE is the default difference
+max, the DBM variants the arg min. CBM values are magnitudes and both DBM
+values are sums of squares, so each method's values are >= 0 by construction;
+estimate_sto raises on non-finite sums. DBM_MAGNITUDE is the default difference
 form: it is exactly zero at the true offset and depends only on sample
 magnitudes, so its decisions are invariant under carrier frequency offset.
 DBM_LITERAL (subtracting the conjugate instead of comparing magnitudes) is
@@ -45,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txgen import OfdmParams, SampleStream, _check_integer, _unchecked
+from .txgen import OfdmParams, SampleStream, _check_integer
 
 __all__ = [
     "Method",
@@ -85,6 +87,8 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.method, Method):
             raise ValueError(f"method must be a Method, got {self.method!r}")
+        for name in ("search_min", "search_max", "n", "n_fft", "cp_len", "symbols_averaged"):
+            _check_integer(name, getattr(self, name))
         if not self.search_min <= 0 <= self.search_max:
             raise ValueError(
                 f"search range [{self.search_min}, {self.search_max}] must contain 0"
@@ -104,30 +108,16 @@ class EstimatorConfig:
 
     @property
     def offsets(self) -> np.ndarray:
-        return np.arange(self.search_min, self.search_max + 1)
+        return np.arange(self.search_min, self.search_max + 1, dtype=np.int64)
 
 
 @dataclass
 class MetricTrace:
-    """Metric values over all candidate offsets plus the argoptimum decision."""
+    """estimate_sto's result: int64 offsets, float64 metric values and the tie-ruled argopt."""
 
     offsets: np.ndarray
     values: np.ndarray
     argopt: int
-
-    def __post_init__(self) -> None:
-        self.offsets = np.asarray(self.offsets, dtype=np.int64)
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.offsets.ndim != 1 or self.offsets.shape != self.values.shape:
-            raise ValueError("offsets and values must be 1-D and of equal length")
-        if self.offsets.size == 0:
-            raise ValueError("trace must contain at least one candidate")
-        if not np.all(np.diff(self.offsets) > 0):
-            raise ValueError("offsets must be strictly increasing")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values < 0):
-            raise ValueError("metric values must be finite and >= 0")
-        if not np.any(self.offsets == self.argopt):
-            raise ValueError(f"argopt {self.argopt} is not a candidate offset")
 
     @property
     def opt_value(self) -> float:
@@ -221,10 +211,7 @@ def estimate_sto(stream: SampleStream, cfg: EstimatorConfig) -> MetricTrace:
             f"{cfg.method.value} metric values are not finite: the stream's sums overflow"
         )
     offsets = cfg.offsets
-    argopt = _argopt(offsets, values, cfg.method.maximizes)
-    # arange offsets, finite non-negative values and an argopt drawn from
-    # them: the trace is valid by construction, so it skips re-validation.
-    return _unchecked(MetricTrace, offsets=offsets, values=values, argopt=argopt)
+    return MetricTrace(offsets, values, _argopt(offsets, values, cfg.method.maximizes))
 
 
 def _search_half_width(params: OfdmParams) -> int:

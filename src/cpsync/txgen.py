@@ -67,6 +67,8 @@ class OfdmParams:
     def __post_init__(self) -> None:
         for name in ("n_subcarriers", "cp_len", "symbols_per_frame"):
             _check_integer(name, getattr(self, name))
+        if not isinstance(self.constellation, Constellation):
+            raise ValueError(f"constellation must be a Constellation, got {self.constellation!r}")
         if self.n_subcarriers < 2:
             raise ValueError(f"n_subcarriers must be >= 2, got {self.n_subcarriers}")
         if not 0 < self.cp_len < self.n_subcarriers:

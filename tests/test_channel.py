@@ -65,6 +65,10 @@ class TestApplySto:
             apply_sto(stream, stream.sample_origin + 1)
         with pytest.raises(ValueError, match="outside buffer"):
             apply_sto(stream, -(stream.buffer_len - stream.sample_origin))
+        for bad in (2.5, 2.0, True):
+            with pytest.raises(ValueError, match=f"^delta must be an integer, got {bad!r}"):
+                apply_sto(stream, bad)
+        assert apply_sto(stream, np.int64(2)).sample_origin == stream.sample_origin - 2
 
 
 class TestApplyCir:
@@ -172,6 +176,9 @@ class TestRandomCir:
     def test_tap_count_validated(self):
         with pytest.raises(ValueError, match="n_taps"):
             random_cir(0, seed=0)
+        with pytest.raises(ValueError, match="^n_taps must be an integer, got 2.5"):
+            random_cir(2.5, seed=1)
+        assert random_cir(np.int64(3), seed=1).shape == (3,)
 
 
 class TestAddAwgn:
@@ -279,6 +286,8 @@ class TestApplyCfo:
     def test_non_finite_epsilon_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             apply_cfo(_unit_stream(n=8), math.inf, n_fft=4)
+        with pytest.raises(ValueError, match="epsilon must be finite, got 0.2"):
+            apply_cfo(_unit_stream(n=8), "0.2", n_fft=4)
 
     @pytest.mark.parametrize("epsilons", [
         (0.0, -0.0),  # equal values: neither may be handed the other's ramp
@@ -392,6 +401,9 @@ class TestScenarioTypes:
             ChannelScenario(snr_db=10.0, cfo=0.2)
         with pytest.raises(ValueError, match="finite"):
             ChannelScenario(snr_db=10.0, cir_taps=(complex(math.inf, 0),))
+        # Unchecked, a string fails the comparison with a bare TypeError.
+        with pytest.raises(ValueError, match="^snr_db=10 cannot size noise"):
+            ChannelScenario(snr_db="10")
 
     def test_channel_scenario_takes_array_taps_and_stays_hashable(self):
         taps = random_cir(10, seed=1)
@@ -404,6 +416,8 @@ class TestScenarioTypes:
     def test_cfo_params_validation(self):
         with pytest.raises(ValueError, match="epsilon"):
             CfoParams(epsilon=math.nan)
+        with pytest.raises(ValueError, match="^epsilon must be finite, got 0.2"):
+            CfoParams("0.2")
 
     def test_replicate_branches(self):
         stream = _unit_stream(n=64, seed=22)

@@ -133,6 +133,15 @@ class TestReferenceScenarios:
                 channel=ChannelScenario(snr_db=10.0),
                 sto_values=(2.5,),
             )
+        fresh = dict(
+            label="fresh",
+            ofdm=OfdmParams(n_subcarriers=128, cp_len=32),
+            channel=ChannelScenario(snr_db=10.0),
+            fresh_cir_per_trial=True,
+        )
+        with pytest.raises(ValueError, match="^n_random_taps must be an integer, got 2.5"):
+            Scenario(**fresh, n_random_taps=2.5)
+        assert Scenario(**fresh, n_random_taps=np.int64(3)).n_random_taps == 3
 
     def test_repeated_method_rejected(self):
         # run_monte_carlo keys its statistics by method, so a repeat would fold two runs into one.
@@ -312,6 +321,9 @@ class TestRunMonteCarlo:
     def test_trial_count_validated(self):
         with pytest.raises(ValueError, match="n_trials"):
             run_monte_carlo(NOISELESS, n_trials=0, master_seed=0)
+        with pytest.raises(ValueError, match="^n_trials must be an integer, got 2.5"):
+            run_monte_carlo(NOISELESS, n_trials=2.5, master_seed=0)
+        assert run_monte_carlo(NOISELESS, n_trials=np.int64(2), master_seed=0).n_trials == 2
 
     def test_best_cell_beats_worst_cell(self):
         # Degradation direction across the grid's extreme corners: computed
@@ -441,6 +453,9 @@ class TestFreqResponse:
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="n_points"):
             freq_response(CIR_FIXTURE, 9)
+        with pytest.raises(ValueError, match="^n_points must be an integer, got 256.0"):
+            freq_response(CIR_FIXTURE, 256.0)
+        assert len(freq_response(CIR_FIXTURE, np.int64(10))) == 10
         with pytest.raises(ValueError, match="at least one"):
             freq_response([], 8)
 

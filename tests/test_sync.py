@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from cpsync import (
     EstimatorConfig,
     Method,
-    MetricTrace,
     OfdmParams,
     SampleStream,
     add_awgn,
@@ -64,6 +63,20 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match="method must be a Method, got 'cbm'"):
             EstimatorConfig("cbm", -4, 4, n=128, n_fft=128, cp_len=32)
 
+    def test_integer_fields_must_be_integers(self):
+        # Unchecked, a float field fails only inside estimate_sto's numpy calls, naming no field.
+        fields = dict(search_min=-4, search_max=4, n=128, n_fft=128, cp_len=32, symbols_averaged=1)
+        for name, value in fields.items():
+            for bad in (float(value), True):
+                with pytest.raises(ValueError, match=f"^{name} must be an integer, got {bad!r}"):
+                    EstimatorConfig(Method.CBM, **{**fields, name: bad})
+        cfg = EstimatorConfig(Method.CBM, np.int64(-4), np.int32(4), n=np.int16(128),
+                              n_fft=np.int64(128), cp_len=np.int8(32), symbols_averaged=np.int64(1))
+        assert cfg.offsets.tolist() == list(range(-4, 5))
+        # An unsigned bound still yields int64 offsets, not arange's float64.
+        unsigned = dataclasses.replace(cfg, search_min=np.uint64(0), search_max=np.uint64(4))
+        assert unsigned.offsets.dtype == np.int64
+
     def test_symbols_averaged_positive(self):
         with pytest.raises(ValueError, match="symbols_averaged"):
             EstimatorConfig(Method.CBM, -1, 1, n=0, n_fft=16, cp_len=4, symbols_averaged=0)
@@ -99,42 +112,6 @@ class TestSearchOffsetRule:
         for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match=r"^sto must be an integer"):
                 check_search_offset("sto", bad, DEFAULT)
-
-
-class TestMetricTraceValidation:
-    def test_rejects_bad_structures(self):
-        good = dict(offsets=[-1, 0, 1], values=[1.0, 2.0, 3.0], argopt=1)
-        assert MetricTrace(**good).opt_value == 3.0
-        with pytest.raises(ValueError, match="strictly increasing"):
-            MetricTrace(offsets=[1, 0, -1], values=[1.0, 2.0, 3.0], argopt=1)
-        with pytest.raises(ValueError, match="finite"):
-            MetricTrace(offsets=[0, 1], values=[np.nan, 1.0], argopt=1)
-        with pytest.raises(ValueError, match="finite"):
-            MetricTrace(offsets=[0, 1], values=[-0.5, 1.0], argopt=1)
-        with pytest.raises(ValueError, match="not a candidate"):
-            MetricTrace(offsets=[0, 1], values=[1.0, 2.0], argopt=7)
-        with pytest.raises(ValueError, match="equal length"):
-            MetricTrace(offsets=[0, 1, 2], values=[1.0, 2.0], argopt=1)
-
-    @pytest.mark.parametrize("method", list(Method))
-    def test_estimator_traces_pass_public_validation(self, method):
-        # Every trace estimate_sto returns must survive the validating
-        # constructor unchanged, in values and in dtypes.
-        noiseless = _noiseless(DEFAULT, 3, seed=41)
-        streams = [
-            noiseless,
-            add_awgn(noiseless, 2.0, seed=42),
-            add_awgn(replicate_branches(noiseless, 3), 0.0, seed=43),
-            SampleStream(branches=[np.zeros(noiseless.buffer_len)], sample_origin=128),
-        ]
-        for stream in streams:
-            trace = estimate_sto(stream, default_config(stream, DEFAULT, method))
-            fields = {f.name: getattr(trace, f.name) for f in dataclasses.fields(trace)}
-            rebuilt = MetricTrace(**fields)
-            for name in ("offsets", "values"):
-                assert getattr(rebuilt, name).dtype == fields[name].dtype
-                assert np.array_equal(getattr(rebuilt, name), fields[name])
-            assert (rebuilt.argopt, rebuilt.opt_value) == (trace.argopt, trace.opt_value)
 
 
 class TestNoiselessAnchors:
@@ -210,6 +187,28 @@ class TestEstimate:
         cfg = default_config(stream, params, Method.CBM)
         assert cfg.search_min == -2
         assert cfg.search_max == 24 - 2 - 4 - 16  # buffer_len - n - cp - n_fft
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_trace_fields_hold_by_construction(self, method):
+        # MetricTrace checks nothing itself, so every field is checked here on
+        # a noiseless, a noisy, a broadcast 3-branch and an all-zero stream.
+        noiseless = _noiseless(DEFAULT, 3, seed=41)
+        streams = [
+            noiseless,
+            add_awgn(noiseless, 2.0, seed=42),
+            add_awgn(replicate_branches(noiseless, 3), 0.0, seed=43),
+            SampleStream(branches=[np.zeros(noiseless.buffer_len)], sample_origin=128),
+        ]
+        for stream in streams:
+            cfg = default_config(stream, DEFAULT, method)
+            trace = estimate_sto(stream, cfg)
+            assert trace.offsets.dtype == np.int64
+            np.testing.assert_array_equal(trace.offsets, cfg.offsets)
+            assert trace.values.dtype == np.float64
+            assert trace.values.shape == trace.offsets.shape
+            assert np.isfinite(trace.values).all()
+            assert (trace.values >= 0).all()
+            assert trace.values[trace.offsets == trace.argopt].tolist() == [trace.opt_value]
 
     def test_single_symbol_averaging(self):
         stream = _noiseless(DEFAULT, 3, seed=46)

@@ -257,6 +257,11 @@ class TestSampleStreamValidation:
 
 
 class TestOfdmParamsValidation:
+    def test_constellation_must_be_a_member(self):
+        # Unchecked, a constellation string fails only inside build_frame, naming no field.
+        with pytest.raises(ValueError, match="constellation must be a Constellation, got 'qpsk'"):
+            OfdmParams(128, 32, constellation="qpsk")
+
     def test_cp_len_bounds(self):
         with pytest.raises(ValueError, match="cp_len"):
             OfdmParams(n_subcarriers=64, cp_len=0)
