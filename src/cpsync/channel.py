@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txgen import SampleStream, _check_integer
+from .txgen import SampleStream, _integer
 
 __all__ = [
     "CIR_FIXTURE",
@@ -104,9 +104,7 @@ class ChannelScenario:
             raise ValueError(f"snr_db={self.snr_db} cannot size noise; {_SNR_DB_RULE}")
         if self.cfo is not None and not isinstance(self.cfo, CfoParams):
             raise ValueError(f"cfo must be a CfoParams or None, got {self.cfo!r}")
-        _check_integer("rx_branches", self.rx_branches)
-        if self.rx_branches < 1:
-            raise ValueError(f"rx_branches must be >= 1, got {self.rx_branches}")
+        object.__setattr__(self, "rx_branches", _integer("rx_branches", self.rx_branches, 1))
         taps = tuple(map(complex, self.cir_taps))
         object.__setattr__(self, "cir_taps", taps)
         if not all(math.isfinite(t.real) and math.isfinite(t.imag) for t in taps):
@@ -117,8 +115,7 @@ def replicate_branches(stream: SampleStream, n_branches: int) -> SampleStream:
     """Broadcast a single-branch stream to n_branches identical branches."""
     if stream.n_branches != 1:
         raise ValueError(f"expected a single-branch stream, got {stream.n_branches}")
-    if n_branches < 1:
-        raise ValueError(f"n_branches must be >= 1, got {n_branches}")
+    n_branches = _integer("n_branches", n_branches, 1)
     wide = np.broadcast_to(stream.branches, (n_branches, stream.buffer_len))
     return stream._derive(branches=wide)
 
@@ -131,7 +128,7 @@ def apply_sto(stream: SampleStream, delta: int) -> SampleStream:
     which is the convention under which the estimators recover delta itself.
     Sample values are untouched; only sample_origin moves.
     """
-    _check_integer("delta", delta)
+    delta = _integer("delta", delta)
     new_origin = stream.sample_origin - delta
     if not 0 <= new_origin < stream.buffer_len:
         raise ValueError(
@@ -139,6 +136,16 @@ def apply_sto(stream: SampleStream, delta: int) -> SampleStream:
             f"outside buffer [0, {stream.buffer_len})"
         )
     return stream._derive(sample_origin=new_origin)
+
+
+def _checked_taps(taps, name: str) -> np.ndarray:
+    """taps as a 1-D complex128 array; refuse an empty or non-finite one under name."""
+    h = np.asarray(taps, dtype=np.complex128).ravel()
+    if h.size == 0:
+        raise ValueError(f"{name} must contain at least one coefficient")
+    if not np.isfinite(h).all():
+        raise ValueError(f"{name} must be finite")
+    return h
 
 
 def apply_cir(stream: SampleStream, taps) -> SampleStream:
@@ -154,11 +161,7 @@ def apply_cir(stream: SampleStream, taps) -> SampleStream:
     inside is the same dot over the same samples as np.convolve of the whole
     row, so the output equals np.convolve(b, taps)[:b.size] bit for bit.
     """
-    h = np.asarray(taps, dtype=np.complex128).ravel()
-    if h.size == 0:
-        raise ValueError("cir taps must contain at least one coefficient")
-    if not np.all(np.isfinite(h)):
-        raise ValueError("cir taps must be finite")
+    h = _checked_taps(taps, "cir taps")
     out = np.zeros(stream.branches.shape, dtype=np.complex128)
     # The support is scanned, not read from the payload bounds: noise fills the guards.
     support = np.flatnonzero(stream.branches.any(axis=0))
@@ -179,10 +182,8 @@ def random_cir(n_taps: int, seed: int, normalize: bool = False) -> np.ndarray:
     Tap magnitudes are therefore Rayleigh distributed. With normalize=True
     the taps are rescaled so sum(|h|^2) == 1.
     """
-    _check_integer("n_taps", n_taps)
-    if n_taps < 1:
-        raise ValueError(f"n_taps must be >= 1, got {n_taps}")
-    rng = np.random.default_rng(seed)
+    n_taps = _integer("n_taps", n_taps, 1)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     taps = (rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)) / np.sqrt(2.0)
     if normalize:
         taps /= np.sqrt(np.sum(np.abs(taps) ** 2))
@@ -199,6 +200,7 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
     """
     if not _snr_db_sizes_noise(snr_db):
         raise ValueError(f"snr_db={snr_db} cannot size noise; {_SNR_DB_RULE}")
+    seed = _integer("seed", seed, 0)
     if snr_db == math.inf:
         return stream
     p_sig = stream.payload_power()
@@ -222,8 +224,7 @@ def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
     """Rotate sample m by exp(j*2*pi*epsilon*m/n_fft) on every branch."""
     if not _is_finite(epsilon):
         raise ValueError(f"epsilon must be finite, got {epsilon}")
-    if n_fft < 1:
-        raise ValueError(f"n_fft must be >= 1, got {n_fft}")
+    n_fft = _integer("n_fft", n_fft, 1)
     ramp = _cfo_ramp(stream.buffer_len, epsilon, n_fft, math.copysign(1.0, epsilon))
     return stream._derive(branches=stream.branches * ramp)
 

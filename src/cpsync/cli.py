@@ -161,7 +161,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             rows.append(
                 [
                     float(scenario.channel.snr_db),
-                    int(scenario.ofdm.cp_len),
+                    scenario.ofdm.cp_len,
                     scenario.channel_mode,
                     method.value,
                     ns.trials,

@@ -28,6 +28,7 @@ import numpy as np
 from .channel import (
     CIR_FIXTURE,
     ChannelScenario,
+    _checked_taps,
     add_awgn,
     apply_cfo,
     apply_cir,
@@ -36,7 +37,7 @@ from .channel import (
     replicate_branches,
 )
 from .sync import Method, MetricTrace, _default_configs, check_search_offset, estimate_sto
-from .txgen import OfdmParams, _check_integer, build_frame
+from .txgen import OfdmParams, _integer, build_frame
 
 __all__ = [
     "ALL_METHODS",
@@ -124,14 +125,13 @@ class Scenario:
             raise ValueError(f"methods must not repeat, got ({names})")
         if not self.sto_values:
             raise ValueError("scenario needs at least one true offset")
-        for sto in self.sto_values:
-            check_search_offset("sto", sto, self.ofdm)
+        stos = tuple(check_search_offset("sto", sto, self.ofdm) for sto in self.sto_values)
+        object.__setattr__(self, "sto_values", stos)
         if self.fresh_cir_per_trial and self.channel.cir_taps:
             raise ValueError("fresh_cir_per_trial excludes fixed cir_taps")
         if self.fresh_cir_per_trial:
-            _check_integer("n_random_taps", self.n_random_taps)
-            if self.n_random_taps < 1:
-                raise ValueError(f"n_random_taps must be >= 1, got {self.n_random_taps}")
+            count = _integer("n_random_taps", self.n_random_taps, 1)
+            object.__setattr__(self, "n_random_taps", count)
 
     @property
     def channel_mode(self) -> str:
@@ -250,9 +250,7 @@ def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
 
 def run_monte_carlo(scenario: Scenario, n_trials: int, master_seed: int) -> ScenarioStats:
     """Aggregate run_trial over n_trials derived seeds, cycling the offset set."""
-    _check_integer("n_trials", n_trials)
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be >= 1, got {n_trials}")
+    n_trials = _integer("n_trials", n_trials, 1)
     errors: dict[Method, list[int]] = {m: [] for m in scenario.methods}
     for index in range(n_trials):
         true_sto = scenario.sto_values[index % len(scenario.sto_values)]
@@ -272,12 +270,8 @@ def freq_response(taps, n_points: int) -> list[tuple[int, float, float]]:
     Returns (bin index, magnitude in dB, phase in radians) per bin, phase
     wrapped to (-pi, pi]. An exact-zero bin reports -inf dB; an overflowing one raises ValueError.
     """
-    h = np.asarray(taps, dtype=np.complex128).ravel()
-    if h.size == 0:
-        raise ValueError("taps must contain at least one coefficient")
-    if not np.isfinite(h).all():
-        raise ValueError("taps must be finite")
-    _check_integer("n_points", n_points)
+    h = _checked_taps(taps, "taps")
+    n_points = _integer("n_points", n_points)
     if n_points < h.size:
         raise ValueError(f"n_points={n_points} smaller than tap count {h.size}")
     padded = np.zeros(n_points, dtype=np.complex128)
@@ -291,4 +285,4 @@ def freq_response(taps, n_points: int) -> list[tuple[int, float, float]]:
         magnitude_db = 20.0 * np.log10(magnitude)
     phase = np.angle(response)
     phase[phase == -np.pi] = np.pi
-    return [(int(k), float(magnitude_db[k]), float(phase[k])) for k in range(n_points)]
+    return [(k, float(magnitude_db[k]), float(phase[k])) for k in range(n_points)]

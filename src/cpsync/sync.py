@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txgen import OfdmParams, SampleStream, _check_integer
+from .txgen import OfdmParams, SampleStream, _integer
 
 __all__ = [
     "Method",
@@ -87,20 +87,17 @@ class EstimatorConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.method, Method):
             raise ValueError(f"method must be a Method, got {self.method!r}")
-        for name in ("search_min", "search_max", "n", "n_fft", "cp_len", "symbols_averaged"):
-            _check_integer(name, getattr(self, name))
+        for name, minimum in (("search_min", None), ("search_max", None), ("n", None),
+                              ("n_fft", None), ("cp_len", 1), ("symbols_averaged", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if not self.search_min <= 0 <= self.search_max:
             raise ValueError(
                 f"search range [{self.search_min}, {self.search_max}] must contain 0"
             )
-        if self.cp_len < 1:
-            raise ValueError(f"cp_len must be >= 1, got {self.cp_len}")
         if self.n_fft < self.cp_len:
             raise ValueError(
                 f"n_fft must be >= cp_len, got n_fft={self.n_fft}, cp_len={self.cp_len}"
             )
-        if self.symbols_averaged < 1:
-            raise ValueError(f"symbols_averaged must be >= 1, got {self.symbols_averaged}")
 
     @property
     def stride(self) -> int:
@@ -218,18 +215,19 @@ def _search_half_width(params: OfdmParams) -> int:
     return 2 * params.cp_len
 
 
-def check_search_offset(name: str, sto: int, params: OfdmParams) -> None:
-    """Reject a non-integer offset, or one that default_config's search cannot recover.
+def check_search_offset(name: str, sto: int, params: OfdmParams) -> int:
+    """sto as a Python int; refuse a non-integer or one that default_config's search misses.
 
     The rule: |sto| <= min(2*cp_len, n_subcarriers - 1), the latter the frame's guard.
     """
-    _check_integer(name, sto)
+    sto = _integer(name, sto)
     limit = min(_search_half_width(params), params.n_subcarriers - 1)
     if abs(sto) > limit:
         raise ValueError(
             f"{name}={sto} outside the default search range +-{limit} "
             f"(cp_len={params.cp_len}, n_subcarriers={params.n_subcarriers})"
         )
+    return sto
 
 
 def default_config(

@@ -45,10 +45,14 @@ class Constellation(enum.Enum):
         return 2 if self is Constellation.QPSK else 4
 
 
-def _check_integer(name: str, value) -> None:
-    """Reject a value that is not a Python or numpy integer; bool counts as not one."""
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """value as a Python int; refuse a non-integer (bool included) or one below minimum."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -65,19 +69,15 @@ class OfdmParams:
     symbols_per_frame: int = 4
 
     def __post_init__(self) -> None:
-        for name in ("n_subcarriers", "cp_len", "symbols_per_frame"):
-            _check_integer(name, getattr(self, name))
+        for name, minimum in (("n_subcarriers", 2), ("cp_len", None), ("symbols_per_frame", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if not isinstance(self.constellation, Constellation):
             raise ValueError(f"constellation must be a Constellation, got {self.constellation!r}")
-        if self.n_subcarriers < 2:
-            raise ValueError(f"n_subcarriers must be >= 2, got {self.n_subcarriers}")
         if not 0 < self.cp_len < self.n_subcarriers:
             raise ValueError(
                 f"cp_len must satisfy 0 < cp_len < n_subcarriers, "
                 f"got cp_len={self.cp_len}, n_subcarriers={self.n_subcarriers}"
             )
-        if self.symbols_per_frame < 1:
-            raise ValueError(f"symbols_per_frame must be >= 1, got {self.symbols_per_frame}")
 
     @property
     def symbol_len(self) -> int:
@@ -99,9 +99,10 @@ class SampleStream:
     A list of equal-length 1-D arrays is accepted and stacked into rows. The
     rows are stored C-contiguous: an array of any other layout is copied.
     sample_origin is the receiver's nominal start of symbol 0 (index of its
-    first CP sample). payload_start/payload_stop bound the region that
-    actually carries signal (everything outside is zero guard padding); the
-    noise generator measures signal power over that region only.
+    first CP sample), in [0, buffer_len). payload_start/payload_stop bound the
+    region that actually carries signal (everything outside is zero guard
+    padding); the noise generator measures signal power over that region only.
+    The three are stored as Python ints.
     """
 
     branches: np.ndarray
@@ -126,6 +127,10 @@ class SampleStream:
         length = shape[1]
         if self.payload_stop is None:
             self.payload_stop = length
+        for name in ("sample_origin", "payload_start", "payload_stop"):
+            setattr(self, name, _integer(name, getattr(self, name)))
+        if not 0 <= self.sample_origin < length:
+            raise ValueError(f"sample_origin={self.sample_origin} outside buffer [0, {length})")
         if not 0 <= self.payload_start <= self.payload_stop <= length:
             raise ValueError(
                 f"payload bounds [{self.payload_start}, {self.payload_stop}) "
@@ -189,7 +194,7 @@ def build_frame(params: OfdmParams, seed: int) -> SampleStream:
     same bits as one draw per symbol in turn, and one inverse transform of
     the stacked spectra.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     n, cp, count = params.n_subcarriers, params.cp_len, params.symbols_per_frame
     k = params.constellation.bits_per_symbol
     # A 0/1 draw and finite table points: map_bits' and spectral.idft's checks are skipped.

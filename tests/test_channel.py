@@ -68,7 +68,9 @@ class TestApplySto:
         for bad in (2.5, 2.0, True):
             with pytest.raises(ValueError, match=f"^delta must be an integer, got {bad!r}"):
                 apply_sto(stream, bad)
-        assert apply_sto(stream, np.int64(2)).sample_origin == stream.sample_origin - 2
+        for kind in (np.int8, np.int64, np.uint64):
+            origin = apply_sto(stream, kind(2)).sample_origin
+            assert origin == stream.sample_origin - 2 and type(origin) is int
 
 
 class TestApplyCir:
@@ -179,6 +181,9 @@ class TestRandomCir:
         with pytest.raises(ValueError, match="^n_taps must be an integer, got 2.5"):
             random_cir(2.5, seed=1)
         assert random_cir(np.int64(3), seed=1).shape == (3,)
+        # Unchecked, numpy's SeedSequence refused the seed without naming it.
+        with pytest.raises(ValueError, match="^seed must be an integer, got 'x'"):
+            random_cir(3, "x")
 
 
 class TestAddAwgn:
@@ -209,6 +214,8 @@ class TestAddAwgn:
         a = add_awgn(stream, 5.0, seed=17)
         b = add_awgn(stream, 5.0, seed=17)
         np.testing.assert_array_equal(a.branches[0], b.branches[0])
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
+            add_awgn(stream, 5.0, seed=-1)
 
     def test_branches_get_independent_noise(self):
         stream = replicate_branches(_unit_stream(n=50_000, seed=18), 2)
@@ -288,6 +295,18 @@ class TestApplyCfo:
             apply_cfo(_unit_stream(n=8), math.inf, n_fft=4)
         with pytest.raises(ValueError, match="epsilon must be finite, got 0.2"):
             apply_cfo(_unit_stream(n=8), "0.2", n_fft=4)
+
+    def test_n_fft_must_be_a_positive_integer(self):
+        # A non-integer n_fft used to pass and rotate the stream.
+        stream = _unit_stream(n=8)
+        for bad in (128.5, True):
+            with pytest.raises(ValueError, match=f"^n_fft must be an integer, got {bad!r}"):
+                apply_cfo(stream, 0.2, bad)
+        with pytest.raises(ValueError, match="^n_fft must be >= 1, got 0"):
+            apply_cfo(stream, 0.2, 0)
+        expected = apply_cfo(stream, 0.2, 4).branches.tobytes()
+        for kind in (np.int8, np.int64, np.uint64):
+            assert apply_cfo(stream, 0.2, kind(4)).branches.tobytes() == expected
 
     @pytest.mark.parametrize("epsilons", [
         (0.0, -0.0),  # equal values: neither may be handed the other's ramp
@@ -396,7 +415,9 @@ class TestScenarioTypes:
             ChannelScenario(snr_db=10.0, rx_branches=0)
         with pytest.raises(ValueError, match="rx_branches must be an integer, got 2.5"):
             ChannelScenario(snr_db=10.0, rx_branches=2.5)
-        assert ChannelScenario(snr_db=10.0, rx_branches=np.int64(2)).rx_branches == 2
+        for kind in (np.int8, np.int64, np.uint64):
+            rx_branches = ChannelScenario(snr_db=10.0, rx_branches=kind(2)).rx_branches
+            assert rx_branches == 2 and type(rx_branches) is int
         with pytest.raises(ValueError, match="cfo must be a CfoParams or None, got 0.2"):
             ChannelScenario(snr_db=10.0, cfo=0.2)
         with pytest.raises(ValueError, match="finite"):
@@ -427,3 +448,8 @@ class TestScenarioTypes:
             np.testing.assert_array_equal(branch, stream.branches[0])
         with pytest.raises(ValueError, match="single-branch"):
             replicate_branches(wide, 2)
+        # Unchecked, a float count failed inside numpy without naming the argument.
+        with pytest.raises(ValueError, match="^n_branches must be an integer, got 2.5"):
+            replicate_branches(stream, 2.5)
+        with pytest.raises(ValueError, match="^n_branches must be >= 1, got 0"):
+            replicate_branches(stream, 0)

@@ -141,7 +141,17 @@ class TestReferenceScenarios:
         )
         with pytest.raises(ValueError, match="^n_random_taps must be an integer, got 2.5"):
             Scenario(**fresh, n_random_taps=2.5)
-        assert Scenario(**fresh, n_random_taps=np.int64(3)).n_random_taps == 3
+        for kind in (np.int8, np.int64, np.uint64):
+            cell = Scenario(**fresh, n_random_taps=kind(3), sto_values=[kind(3), kind(2)])
+            assert cell.n_random_taps == 3 and type(cell.n_random_taps) is int
+            assert cell.sto_values == (3, 2) and all(type(sto) is int for sto in cell.sto_values)
+        # Stored as given, an unsigned offset made each trial's error a uint64, and
+        # run_monte_carlo raised OverflowError.
+        plain = Scenario(**{**fresh, "fresh_cir_per_trial": False}, sto_values=(3,))
+        unsigned = Scenario(**{**fresh, "fresh_cir_per_trial": False}, sto_values=(np.uint64(3),))
+        want = run_monte_carlo(plain, n_trials=16, master_seed=4)
+        got = run_monte_carlo(unsigned, n_trials=16, master_seed=4)
+        assert got.methods == want.methods
 
     def test_repeated_method_rejected(self):
         # run_monte_carlo keys its statistics by method, so a repeat would fold two runs into one.
@@ -323,7 +333,9 @@ class TestRunMonteCarlo:
             run_monte_carlo(NOISELESS, n_trials=0, master_seed=0)
         with pytest.raises(ValueError, match="^n_trials must be an integer, got 2.5"):
             run_monte_carlo(NOISELESS, n_trials=2.5, master_seed=0)
-        assert run_monte_carlo(NOISELESS, n_trials=np.int64(2), master_seed=0).n_trials == 2
+        for kind in (np.int8, np.int64, np.uint64):
+            n_trials = run_monte_carlo(NOISELESS, n_trials=kind(2), master_seed=0).n_trials
+            assert n_trials == 2 and type(n_trials) is int
 
     def test_best_cell_beats_worst_cell(self):
         # Degradation direction across the grid's extreme corners: computed
@@ -455,7 +467,9 @@ class TestFreqResponse:
             freq_response(CIR_FIXTURE, 9)
         with pytest.raises(ValueError, match="^n_points must be an integer, got 256.0"):
             freq_response(CIR_FIXTURE, 256.0)
-        assert len(freq_response(CIR_FIXTURE, np.int64(10))) == 10
+        for kind in (np.int8, np.int64, np.uint64):
+            bins = [k for k, _, _ in freq_response(CIR_FIXTURE, kind(10))]
+            assert bins == list(range(10)) and all(type(k) is int for k in bins)
         with pytest.raises(ValueError, match="at least one"):
             freq_response([], 8)
 

@@ -76,6 +76,18 @@ class TestConfigValidation:
         # An unsigned bound still yields int64 offsets, not arange's float64.
         unsigned = dataclasses.replace(cfg, search_min=np.uint64(0), search_max=np.uint64(4))
         assert unsigned.offsets.dtype == np.int64
+        small = dict(search_min=0, search_max=4, n=64, n_fft=64, cp_len=16, symbols_averaged=2)
+        for kind in (np.int8, np.int64, np.uint64):
+            cfg = EstimatorConfig(Method.CBM, **{name: kind(v) for name, v in small.items()})
+            assert all(type(getattr(cfg, name)) is int for name in small)
+        # Stored as given, an unsigned n wrapped in the search limits' -n.
+        stream = build_frame(DEFAULT, seed=1)
+        plain = EstimatorConfig(Method.CBM, -4, 4, n=128, n_fft=128, cp_len=32, symbols_averaged=4)
+        expected = estimate_sto(stream, plain)
+        got = estimate_sto(stream, dataclasses.replace(plain, n=np.uint64(128)))
+        assert got.offsets.tobytes() == expected.offsets.tobytes()
+        assert got.values.tobytes() == expected.values.tobytes()
+        assert got.argopt == expected.argopt
 
     def test_symbols_averaged_positive(self):
         with pytest.raises(ValueError, match="symbols_averaged"):
@@ -108,7 +120,12 @@ class TestSearchOffsetRule:
                             check_search_offset("sto", sto, params)
 
     def test_offset_must_be_an_integer(self):
-        check_search_offset("sto", np.int64(3), DEFAULT)
+        for kind in (np.int8, np.int64, np.uint64):
+            sto = check_search_offset("sto", kind(3), DEFAULT)
+            assert sto == 3 and type(sto) is int
+        # abs() of this int8 wrapped to -128, which passed the bound.
+        with pytest.raises(ValueError, match=r"^sto=-128 outside the default search range"):
+            check_search_offset("sto", np.int8(-128), DEFAULT)
         for bad in (2.5, 3.0, True):
             with pytest.raises(ValueError, match=r"^sto must be an integer"):
                 check_search_offset("sto", bad, DEFAULT)

@@ -1,5 +1,7 @@
 """Frame generation: mapping pins, CP structure, layout and power contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -174,6 +176,11 @@ class TestBuildFrame:
         np.testing.assert_array_equal(a.branches[0], b.branches[0])
         c = build_frame(params, seed=100)
         assert not np.array_equal(a.branches[0], c.branches[0])
+        # Unchecked, numpy's SeedSequence refused these without naming the seed.
+        with pytest.raises(ValueError, match="^seed must be >= 0, got -1"):
+            build_frame(params, -1)
+        with pytest.raises(ValueError, match="^seed must be an integer, got 2.5"):
+            build_frame(params, 2.5)
 
     def test_every_symbol_has_bitwise_cp_copy(self):
         params = OfdmParams(n_subcarriers=64, cp_len=16, symbols_per_frame=5)
@@ -254,6 +261,24 @@ class TestSampleStreamValidation:
             SampleStream(branches=[np.array([1.0, np.nan], complex)], sample_origin=0)
         with pytest.raises(ValueError, match="payload"):
             SampleStream(branches=[np.zeros(4, complex)], sample_origin=0, payload_start=5)
+        # Unchecked, each of these failed later: in estimate_sto, payload_power's
+        # slicing or the search window, without naming the field.
+        frame = build_frame(OfdmParams(64, 16), seed=1).branches
+        with pytest.raises(ValueError, match="^sample_origin must be an integer, got 2.5"):
+            SampleStream(frame, 2.5)
+        for origin in (-5, frame.shape[1], 10**6):
+            with pytest.raises(
+                ValueError, match=rf"^sample_origin={origin} outside buffer \[0, {frame.shape[1]}\)"
+            ):
+                SampleStream(frame, origin)
+        for name in ("payload_start", "payload_stop"):
+            with pytest.raises(ValueError, match=f"^{name} must be an integer, got 64.0"):
+                SampleStream(frame, 64, **{name: 64.0})
+        # An unsigned origin used to wrap in the search limits' -n.
+        for kind in (np.int8, np.int64, np.uint64):
+            stream = SampleStream(frame, kind(64), payload_start=kind(64), payload_stop=kind(100))
+            for value in (stream.sample_origin, stream.payload_start, stream.payload_stop):
+                assert type(value) is int
 
 
 class TestOfdmParamsValidation:
@@ -283,3 +308,12 @@ class TestOfdmParamsValidation:
                 OfdmParams(n_subcarriers=128, cp_len=32, symbols_per_frame=bad)
         params = OfdmParams(np.int64(128), np.int32(32), symbols_per_frame=np.int16(2))
         assert params.symbol_len == 160
+        for kind in (np.int8, np.int64, np.uint64):
+            params = OfdmParams(kind(64), kind(16), symbols_per_frame=kind(2))
+            sizes = (params.n_subcarriers, params.cp_len, params.symbols_per_frame)
+            assert sizes == (64, 16, 2) and all(type(size) is int for size in sizes)
+        # Stored as given, uint8 sizes overflowed in build_frame's layout arithmetic.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stream = build_frame(OfdmParams(np.uint8(128), np.uint8(32)), seed=1)
+        assert stream.buffer_len == 4 * 160 + 2 * 128
