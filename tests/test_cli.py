@@ -174,6 +174,8 @@ class TestSweepCommand:
         ("sweep_wideband_seed17.csv", ["--n", "1024", "--cp", "72", "--snr-db", "10",
                                        "--channel", "rayleigh-random", "--trials", "10",
                                        "--seed", "17"]),
+        ("sweep_rayleigh_random_seed17.csv", ["--channel", "rayleigh-random", "--snr-db", "30",
+                                              "--cp", "8", "--trials", "100", "--seed", "17"]),
     ])
     def test_matches_committed_golden_bytes(self, tmp_path, golden, flags):
         out = tmp_path / golden
