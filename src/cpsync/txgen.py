@@ -45,6 +45,12 @@ class Constellation(enum.Enum):
         return 2 if self is Constellation.QPSK else 4
 
 
+def _check_constellation(value) -> None:
+    """Refuse anything but a Constellation member, naming the field."""
+    if not isinstance(value, Constellation):
+        raise ValueError(f"constellation must be a Constellation, got {value!r}")
+
+
 def _integer(name: str, value, minimum: int | None = None) -> int:
     """value as a Python int; refuse a non-integer (bool included) or one below minimum."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -71,8 +77,7 @@ class OfdmParams:
     def __post_init__(self) -> None:
         for name, minimum in (("n_subcarriers", 2), ("cp_len", None), ("symbols_per_frame", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
-        if not isinstance(self.constellation, Constellation):
-            raise ValueError(f"constellation must be a Constellation, got {self.constellation!r}")
+        _check_constellation(self.constellation)
         if not 0 < self.cp_len < self.n_subcarriers:
             raise ValueError(
                 f"cp_len must satisfy 0 < cp_len < n_subcarriers, "
@@ -161,6 +166,7 @@ class SampleStream:
 
 def map_bits(bits, constellation: Constellation) -> np.ndarray:
     """Map a bit vector to Gray-coded unit-average-power constellation points."""
+    _check_constellation(constellation)
     b = np.asarray(bits, dtype=np.int64).ravel()
     if b.size and not np.all((b == 0) | (b == 1)):
         raise ValueError("bits must contain only 0s and 1s")

@@ -5,7 +5,9 @@ independent of the library's vectorised paths, so the two routes check each
 other. ofdm_symbol and add_cp build a frame one symbol at a time, the
 reference composition for build_frame's stacked transform;
 accumulated_pair_series sums the estimators' pair terms one (branch, symbol)
-row at a time, the reference order for estimate_sto's strided gather.
+row at a time, the reference order for estimate_sto's strided gather;
+tap_major_convolution convolves each whole row one tap at a time, the
+reference order for apply_cir's support-only broadcast loop.
 """
 
 from __future__ import annotations
@@ -137,6 +139,22 @@ def pdp_median_delay(taps) -> int:
         if cumulative >= half:
             return delay
     return 0
+
+
+def tap_major_convolution(branches, taps) -> np.ndarray:
+    """Each row convolved with taps and truncated to its length, one tap at a time.
+
+    Tap k's products are added to a zero accumulator over the whole row, with
+    no support scan, in tap order: the order apply_cir must keep bit for bit.
+    """
+    h = np.asarray(taps, dtype=np.complex128)
+    rows = np.asarray(branches, dtype=np.complex128)
+    out = np.zeros(rows.shape, dtype=np.complex128)
+    for acc, row in zip(out, rows):
+        length = row.size
+        for k, tap in enumerate(h[:length]):
+            acc[k:] += tap * row[: length - k]
+    return out
 
 
 def relative_error(actual: np.ndarray, expected: np.ndarray) -> float:

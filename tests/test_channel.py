@@ -21,9 +21,15 @@ from cpsync import (
 )
 from cpsync.channel import _cfo_ramp
 
+from oracles import tap_major_convolution
+
 # Regression constant: energy of the frozen 10-tap fixture, computed once by
 # direct summation over the printed coefficients.
 CIR_FIXTURE_ENERGY = 1.13464787
+
+# Worst relative difference allowed between apply_cir and np.convolve, which
+# sums each output sample in its own order: about 7x the largest seen, 1.5e-15.
+CONVOLVE_RTOL = 1e-14
 
 # Mean tap magnitude for (g_re + j*g_im)/sqrt(2) taps: Rayleigh with
 # per-component sigma 1/sqrt(2), mean sigma*sqrt(pi/2) = sqrt(pi)/2.
@@ -99,6 +105,12 @@ class TestApplyCir:
         with pytest.raises(ValueError, match="at least one"):
             apply_cir(_unit_stream(n=16), [])
 
+    def test_string_taps_rejected(self):
+        # Unchecked, numpy parsed "12" as the one tap 12+0j.
+        for taps in ("12", ["1", "2"]):
+            with pytest.raises(ValueError, match="^cir taps must be numbers, got "):
+                apply_cir(_unit_stream(n=16), taps)
+
 
 def _sparse_stream(length, rows, seed=0):
     """One row per list of [start, stop) spans: random samples inside them, zeros elsewhere."""
@@ -112,9 +124,11 @@ def _sparse_stream(length, rows, seed=0):
 
 
 class TestApplyCirEqualsFullConvolution:
-    """Each output row is np.convolve over the whole row, truncated, bit for bit.
+    """Each output row is the tap-major convolution of the whole row, truncated, bit for bit.
 
-    .tobytes() equality also compares the signs of zeros.
+    The oracle sums tap by tap over every column, with no support scan.
+    .tobytes() equality also compares the signs of zeros. np.convolve, which
+    sums in its own order, is an independent check within CONVOLVE_RTOL.
     """
 
     @staticmethod
@@ -122,8 +136,14 @@ class TestApplyCirEqualsFullConvolution:
         out = apply_cir(stream, taps)
         h = np.asarray(taps, dtype=np.complex128)
         assert out.branches.shape == stream.branches.shape
+        assert out.branches.tobytes() == tap_major_convolution(stream.branches, h).tobytes()
         for row, b in zip(out.branches, stream.branches):
-            assert row.tobytes() == np.convolve(b, h)[: b.size].tobytes()
+            full = np.convolve(b, h)[: b.size]
+            scale = np.max(np.abs(full))
+            if scale == 0.0:
+                assert not row.any()
+            else:
+                assert np.max(np.abs(row - full)) <= CONVOLVE_RTOL * scale
 
     @pytest.mark.parametrize("n", [64, 128, 1024])
     @pytest.mark.parametrize("n_taps", [1, 10, "n+5"])
@@ -160,6 +180,30 @@ class TestApplyCirEqualsFullConvolution:
         stream = _sparse_stream(500, [[(10, 60)], [(200, 210)], [(480, 500)]], seed=3)
         for taps in (CIR_FIXTURE, random_cir(25, seed=4)):
             self._assert_full_convolution(stream, taps)
+
+
+class TestApplyCirRowsAreIndependent:
+    """A multi-row stream convolves each row exactly as that row alone would."""
+
+    @staticmethod
+    def _assert_rows_as_alone(stream, taps):
+        out = apply_cir(stream, taps).branches
+        for row, b in zip(out, stream.branches):
+            alone = SampleStream(branches=b[None, :], sample_origin=stream.sample_origin)
+            assert row.tobytes() == apply_cir(alone, taps).branches[0].tobytes()
+
+    def test_broadcast_view(self):
+        stream = replicate_branches(_frame_128(), 4)
+        assert stream.branches.strides[0] == 0
+        for taps in (CIR_FIXTURE, random_cir(10, seed=12, normalize=True)):
+            self._assert_rows_as_alone(stream, taps)
+
+    def test_rows_with_different_supports(self):
+        stream = _sparse_stream(
+            500, [[(10, 60)], [(200, 210)], [(480, 500)], [(0, 3), (300, 330)], []], seed=5
+        )
+        for taps in ([1.0], CIR_FIXTURE, random_cir(25, seed=6)):
+            self._assert_rows_as_alone(stream, taps)
 
 
 class TestRandomCir:
@@ -422,6 +466,10 @@ class TestScenarioTypes:
             ChannelScenario(snr_db=10.0, cfo=0.2)
         with pytest.raises(ValueError, match="finite"):
             ChannelScenario(snr_db=10.0, cir_taps=(complex(math.inf, 0),))
+        # Unchecked, complex() parsed each character: "12" became the taps (1, 2).
+        for taps in ("12", ("1", "2")):
+            with pytest.raises(ValueError, match="^cir_taps must be numbers, got "):
+                ChannelScenario(snr_db=10.0, cir_taps=taps)
         # Unchecked, a string fails the comparison with a bare TypeError.
         with pytest.raises(ValueError, match="^snr_db=10 cannot size noise"):
             ChannelScenario(snr_db="10")

@@ -477,6 +477,11 @@ class TestFreqResponse:
         with pytest.raises(ValueError, match="taps"):
             freq_response([np.nan], 4)
 
+    def test_string_taps_rejected(self):
+        # Unchecked, "12" was read as the one tap 12+0j: 21.58 dB in every bin.
+        with pytest.raises(ValueError, match="^taps must be numbers, got '12'$"):
+            freq_response("12", 4)
+
     # [1e308, 1e308] overflows inside the DFT; 1.5e308(1+j) is finite, but its magnitude is not.
     @pytest.mark.parametrize("taps", [[1e308, 1e308], [1.5e308 + 1.5e308j]])
     def test_overflowed_bins_rejected(self, taps):

@@ -80,6 +80,11 @@ class TestMapBits:
         with pytest.raises(ValueError, match="0s and 1s"):
             map_bits([0, 2], Constellation.QPSK)
 
+    def test_constellation_must_be_a_member(self):
+        # Unchecked, the string failed with a bare AttributeError naming no argument.
+        with pytest.raises(ValueError, match="^constellation must be a Constellation, got 'qpsk'$"):
+            map_bits([0, 1], "qpsk")
+
 
 class TestAddCp:
     def test_copies_last_samples(self):
