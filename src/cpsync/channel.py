@@ -141,8 +141,7 @@ def apply_sto(stream: SampleStream, delta: int) -> SampleStream:
 def _tap_array(taps, name: str) -> np.ndarray:
     """taps as a complex128 array; refuse a string or other non-numbers under name.
 
-    Unchecked, complex() and numpy both parse text: "12" became the taps (1, 2)
-    in a ChannelScenario and the one tap 12 in apply_cir.
+    complex() and numpy both parse text, so "12" would otherwise pass as taps.
     """
     arr = np.asarray(taps)
     if arr.dtype.kind not in "biufc":
@@ -183,6 +182,7 @@ def apply_cir(stream: SampleStream, taps) -> SampleStream:
     if support.size:
         x = stream.branches
         lo, hi = int(support[0]), min(int(support[-1]) + h.size, stream.buffer_len)
+        # An overflow is named by the check below, not warned about per tap.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(min(h.size, hi - lo)):
                 out[:, lo + k : hi] += h[k] * x[:, lo : hi - k]

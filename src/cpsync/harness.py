@@ -8,8 +8,9 @@ A trial runs the full pipeline
 with every random stage seeded from one trial seed through a frozen
 splitting rule, so results repeat bit for bit across runs. The seeds are
 the same on every platform, but the float results of CIR cells hold for one
-numpy build and CPU kernel: np.convolve's complex dot runs in numpy's BLAS,
-which may pick its kernel, and so its summation order, for the CPU at run time.
+numpy build and CPU: apply_cir's complex multiply runs in a SIMD kernel that
+numpy dispatches for the CPU at run time, and those kernels need not round
+alike (on an AVX-512 host the product differs from Python's complex product).
 
 Seed splitting: sub-seeds are blake2b-8 digests over the tagged parts, e.g.
 trial seed = derive_seed(master_seed, scenario_label, trial_index) and stage

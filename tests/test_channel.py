@@ -105,6 +105,11 @@ class TestApplyCir:
         with pytest.raises(ValueError, match="at least one"):
             apply_cir(_unit_stream(n=16), [])
 
+    def test_overflow_is_named_without_a_numpy_warning(self):
+        # RuntimeWarnings are errors in this suite, so a per-tap overflow warning would fail here.
+        with pytest.raises(ValueError, match="^apply_cir output is non-finite"):
+            apply_cir(TestOverflowIsNamed._scaled_frame(1e307), [10, 10])
+
     def test_string_taps_rejected(self):
         # Unchecked, numpy parsed "12" as the one tap 12+0j.
         for taps in ("12", ["1", "2"]):
