@@ -10,6 +10,7 @@ multipath convolution, so runs across channel types compare at equal receiver SN
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass
@@ -52,23 +53,22 @@ CIR_FIXTURE: tuple[complex, ...] = (
 # overflow float64; -300 dB leaves a margin of some 10^270 for both.
 MIN_SNR_DB = -300.0
 
-_SNR_DB_RULE = f"use +inf or a value >= {MIN_SNR_DB:g} (not NaN) with 10^(snr_db/10) finite"
+
+def _check_snr_db(snr_db) -> None:
+    """Refuse snr_db unless it is +inf (no noise) or >= MIN_SNR_DB with 10^(snr_db/10) finite."""
+    with contextlib.suppress(OverflowError, TypeError):  # TypeError: e.g. a string
+        if snr_db == math.inf or (snr_db >= MIN_SNR_DB and 10.0 ** (snr_db / 10.0) < math.inf):
+            return
+    rule = f"use +inf or a value >= {MIN_SNR_DB:g} (not NaN) with 10^(snr_db/10) finite"
+    raise ValueError(f"snr_db={snr_db} cannot size noise; {rule}")
 
 
-def _snr_db_sizes_noise(snr_db: float) -> bool:
-    """True for +inf (no noise) or snr_db >= MIN_SNR_DB with 10^(snr_db/10) finite."""
-    try:
-        return snr_db == math.inf or (snr_db >= MIN_SNR_DB and 10.0 ** (snr_db / 10.0) < math.inf)
-    except (OverflowError, TypeError):  # TypeError: not a real number, e.g. a string
-        return False
-
-
-def _is_finite(value) -> bool:
-    """math.isfinite, with False for a value that is not a real number."""
-    try:
-        return math.isfinite(value)
-    except TypeError:
-        return False
+def _check_epsilon(epsilon) -> None:
+    """Refuse an epsilon that is not a finite real number."""
+    with contextlib.suppress(TypeError):  # not a real number, e.g. a string
+        if math.isfinite(epsilon):
+            return
+    raise ValueError(f"epsilon must be finite, got {epsilon}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +81,7 @@ class CfoParams:
     epsilon: float
 
     def __post_init__(self) -> None:
-        if not _is_finite(self.epsilon):
-            raise ValueError(f"epsilon must be finite, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
 
 
 @dataclass(frozen=True)
@@ -90,8 +89,8 @@ class ChannelScenario:
     """Full impairment description for one run.
 
     snr_db may be math.inf, the documented no-noise sentinel. cir_taps is
-    stored as a tuple of complex, whatever sequence or array it is given as;
-    empty means an ideal (single unit tap) channel.
+    stored as a flat tuple of complex, whatever sequence, nesting or array it
+    is given as; empty means an ideal (single unit tap) channel.
     """
 
     snr_db: float
@@ -100,15 +99,11 @@ class ChannelScenario:
     rx_branches: int = 1
 
     def __post_init__(self) -> None:
-        if not _snr_db_sizes_noise(self.snr_db):
-            raise ValueError(f"snr_db={self.snr_db} cannot size noise; {_SNR_DB_RULE}")
+        _check_snr_db(self.snr_db)
         if self.cfo is not None and not isinstance(self.cfo, CfoParams):
             raise ValueError(f"cfo must be a CfoParams or None, got {self.cfo!r}")
         object.__setattr__(self, "rx_branches", _integer("rx_branches", self.rx_branches, 1))
-        taps = tuple(map(complex, _tap_array(self.cir_taps, "cir_taps")))
-        object.__setattr__(self, "cir_taps", taps)
-        if not all(math.isfinite(t.real) and math.isfinite(t.imag) for t in taps):
-            raise ValueError("cir_taps must be finite")
+        object.__setattr__(self, "cir_taps", tuple(_tap_array(self.cir_taps, "cir_taps").tolist()))
 
 
 def replicate_branches(stream: SampleStream, n_branches: int) -> SampleStream:
@@ -139,23 +134,24 @@ def apply_sto(stream: SampleStream, delta: int) -> SampleStream:
 
 
 def _tap_array(taps, name: str) -> np.ndarray:
-    """taps as a complex128 array; refuse a string or other non-numbers under name.
+    """taps as a 1-D complex128 array; refuse non-numbers or a non-finite tap under name.
 
     complex() and numpy both parse text, so "12" would otherwise pass as taps.
     """
     arr = np.asarray(taps)
     if arr.dtype.kind not in "biufc":
         raise ValueError(f"{name} must be numbers, got {taps!r}")
-    return arr.astype(np.complex128, copy=False)
+    h = arr.astype(np.complex128, copy=False).ravel()
+    if not np.isfinite(h).all():
+        raise ValueError(f"{name} must be finite")
+    return h
 
 
 def _checked_taps(taps, name: str) -> np.ndarray:
-    """taps as a 1-D complex128 array; refuse an empty, non-numeric or non-finite one under name."""
-    h = _tap_array(taps, name).ravel()
+    """_tap_array's taps, refusing an empty tap vector under name."""
+    h = _tap_array(taps, name)
     if h.size == 0:
         raise ValueError(f"{name} must contain at least one coefficient")
-    if not np.isfinite(h).all():
-        raise ValueError(f"{name} must be finite")
     return h
 
 
@@ -213,8 +209,7 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
     is drawn independently per branch from one seeded generator: one
     (n_branches, 2, buffer_len) draw, real then imaginary part per branch.
     """
-    if not _snr_db_sizes_noise(snr_db):
-        raise ValueError(f"snr_db={snr_db} cannot size noise; {_SNR_DB_RULE}")
+    _check_snr_db(snr_db)
     seed = _integer("seed", seed, 0)
     if snr_db == math.inf:
         return stream
@@ -237,8 +232,7 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
 
 def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
     """Rotate sample m by exp(j*2*pi*epsilon*m/n_fft) on every branch."""
-    if not _is_finite(epsilon):
-        raise ValueError(f"epsilon must be finite, got {epsilon}")
+    _check_epsilon(epsilon)
     n_fft = _integer("n_fft", n_fft, 1)
     ramp = _cfo_ramp(stream.buffer_len, epsilon, n_fft, math.copysign(1.0, epsilon))
     return stream._derive(branches=stream.branches * ramp)

@@ -30,6 +30,7 @@ from .harness import (
     _REFERENCE_N,
     Scenario,
     _grid,
+    derive_seed,
     freq_response,
     run_monte_carlo,
     run_trial,
@@ -88,9 +89,10 @@ def _cells(ns: argparse.Namespace, single: bool) -> list[Scenario]:
     An unset axis takes its reference values, or only the first of them when
     a single cell is wanted.
     """
-    # derive_seed packs the master seed into 16 signed bytes.
-    if not -(2**127) <= ns.seed < 2**127:
-        raise ValidationError(f"seed: must lie in [-2**127, 2**127), got {ns.seed}")
+    try:  # derive_seed owns the master seed's range
+        derive_seed(ns.seed)
+    except ValueError as err:
+        raise ValidationError(f"seed: {err}") from None
 
     def axis(name, reference):
         value = getattr(ns, name)

@@ -114,8 +114,14 @@ class Scenario:
     def __post_init__(self) -> None:
         # A tuple keeps the scenario hashable and keys run_trial's memoised configs.
         object.__setattr__(self, "methods", tuple(self.methods))
+        if not isinstance(self.label, str):
+            raise ValueError(f"label must be a str, got {self.label!r}")
         if not self.label:
             raise ValueError("scenario label must be non-empty")
+        if not isinstance(self.ofdm, OfdmParams):
+            raise ValueError(f"ofdm must be an OfdmParams, got {self.ofdm!r}")
+        if not isinstance(self.channel, ChannelScenario):
+            raise ValueError(f"channel must be a ChannelScenario, got {self.channel!r}")
         if not self.methods:
             raise ValueError("scenario needs at least one method")
         for method in self.methods:
@@ -124,9 +130,14 @@ class Scenario:
         if len(set(self.methods)) != len(self.methods):
             names = ", ".join(m.value for m in self.methods)
             raise ValueError(f"methods must not repeat, got ({names})")
-        if not self.sto_values:
+        try:
+            stos = tuple(self.sto_values)
+        except TypeError:  # not iterable, e.g. a bare integer
+            message = f"sto_values must be a sequence of integers, got {self.sto_values!r}"
+            raise ValueError(message) from None
+        if not stos:
             raise ValueError("scenario needs at least one true offset")
-        stos = tuple(check_search_offset("sto", sto, self.ofdm) for sto in self.sto_values)
+        stos = tuple(check_search_offset("sto", sto, self.ofdm) for sto in stos)
         object.__setattr__(self, "sto_values", stos)
         if self.fresh_cir_per_trial and self.channel.cir_taps:
             raise ValueError("fresh_cir_per_trial excludes fixed cir_taps")
@@ -226,6 +237,7 @@ def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
     """Execute the full pipeline once, deterministically for the given seed."""
     ofdm = scenario.ofdm
     check_search_offset("true_sto", true_sto, ofdm)
+    seed = _integer("seed", seed)
     stream = build_frame(ofdm, derive_seed(seed, "tx"))
     taps = scenario.channel.cir_taps
     if scenario.fresh_cir_per_trial:
@@ -252,6 +264,7 @@ def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
 def run_monte_carlo(scenario: Scenario, n_trials: int, master_seed: int) -> ScenarioStats:
     """Aggregate run_trial over n_trials derived seeds, cycling the offset set."""
     n_trials = _integer("n_trials", n_trials, 1)
+    master_seed = _integer("master_seed", master_seed)
     errors: dict[Method, list[int]] = {m: [] for m in scenario.methods}
     for index in range(n_trials):
         true_sto = scenario.sto_values[index % len(scenario.sto_values)]

@@ -16,6 +16,7 @@ from cpsync import (
     apply_cir,
     apply_sto,
     build_frame,
+    freq_response,
     random_cir,
     replicate_branches,
 )
@@ -115,6 +116,33 @@ class TestApplyCir:
         for taps in ("12", ["1", "2"]):
             with pytest.raises(ValueError, match="^cir taps must be numbers, got "):
                 apply_cir(_unit_stream(n=16), taps)
+
+
+class TestOneTapRule:
+    """ChannelScenario, apply_cir and freq_response read taps through one rule."""
+
+    @pytest.mark.parametrize("taps, flat", [
+        ([[0.5, 0.25j]], [0.5, 0.25j]),
+        (np.array([[1.0], [2.0 - 1j]]), [1.0, 2.0 - 1j]),
+        (np.array(0.5 + 0.5j), [0.5 + 0.5j]),
+        (0.75, [0.75]),
+    ], ids=["nested-list", "column-array", "0-d-array", "scalar"])
+    def test_nested_and_0d_taps_ravel_alike(self, taps, flat):
+        # Unchecked, ChannelScenario raised numpy's bare TypeError on these taps.
+        assert ChannelScenario(snr_db=10.0, cir_taps=taps).cir_taps == tuple(map(complex, flat))
+        stream = _unit_stream(n=64, seed=40)
+        convolved = apply_cir(stream, taps).branches
+        assert convolved.tobytes() == apply_cir(stream, flat).branches.tobytes()
+        assert freq_response(taps, 8) == freq_response(flat, 8)
+
+    def test_nested_non_finite_tap_refused_by_each_owner(self):
+        taps = [[1.0, math.inf]]
+        with pytest.raises(ValueError, match="^cir_taps must be finite$"):
+            ChannelScenario(snr_db=10.0, cir_taps=taps)
+        with pytest.raises(ValueError, match="^cir taps must be finite$"):
+            apply_cir(_unit_stream(n=16), taps)
+        with pytest.raises(ValueError, match="^taps must be finite$"):
+            freq_response(taps, 4)
 
 
 def _sparse_stream(length, rows, seed=0):

@@ -14,6 +14,7 @@ from cpsync import (
     ChannelScenario,
     OfdmParams,
     cli,
+    derive_seed,
     freq_response,
     reference_scenarios,
 )
@@ -310,10 +311,15 @@ class TestValidationAndExitCodes:
 
     @pytest.mark.parametrize("seed", [2**127, -(2**127) - 1])
     def test_seed_outside_derive_seed_range_rejected(self, tmp_path, capsys, seed):
+        with pytest.raises(ValueError) as raised:  # the range is derive_seed's
+            derive_seed(seed)
         code = run_cli("sweep", "--seed", str(seed), "--trials", "1",
                        "--out", str(tmp_path / "x.csv"))
         assert code == 2
-        assert "seed:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "seed:" in err
+        assert err == f"error: seed: {raised.value}\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_value_error_during_simulation_is_runtime_failure(self, tmp_path, capsys,
                                                               monkeypatch):

@@ -1,6 +1,7 @@
 """Scenario grid, trial pipeline, Monte Carlo aggregation and frequency response."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -66,6 +67,35 @@ class TestDeriveSeed:
         with pytest.raises(ValueError, match=rf"got {seed}$"):
             run_monte_carlo(NOISELESS, 1, seed)
         assert trials == []
+
+    # Unchecked, True was hashed as the integer 1, "7" as a string part, and 2.5
+    # raised derive_seed's unnamed TypeError.
+    @pytest.mark.parametrize("seed", [True, "7", 2.5])
+    def test_run_trial_rejects_non_integer_seed_before_the_frame(self, seed, monkeypatch):
+        frames = []
+        monkeypatch.setattr(harness, "build_frame", lambda *args: frames.append(args))
+        message = rf"^seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            run_trial(NOISELESS, 3, seed)
+        assert frames == []
+
+    @pytest.mark.parametrize("seed", [True, "7", 2.5])
+    def test_run_monte_carlo_rejects_non_integer_seed_before_any_trial(self, seed, monkeypatch):
+        trials = []
+        monkeypatch.setattr(harness, "run_trial", lambda *args: trials.append(args))
+        message = rf"^master_seed must be an integer, got {re.escape(repr(seed))}$"
+        with pytest.raises(ValueError, match=message):
+            run_monte_carlo(NOISELESS, 1, seed)
+        assert trials == []
+
+    @pytest.mark.parametrize("kind", [np.int64, np.uint64])
+    def test_numpy_integer_seed_runs_as_the_python_int(self, kind):
+        cell = reference_scenarios()[-1]  # 2 dB, CP 16, fixture CIR: every method misses some
+        want = run_monte_carlo(cell, 24, 7)
+        assert run_monte_carlo(cell, 24, kind(7)).methods == want.methods
+        plain, numpy_seeded = run_trial(cell, 3, 11), run_trial(cell, 3, kind(11))
+        for method, trace in plain.traces.items():
+            assert numpy_seeded.traces[method].values.tobytes() == trace.values.tobytes()
 
 
 class TestReferenceScenarios:
@@ -162,6 +192,36 @@ class TestReferenceScenarios:
                 channel=ChannelScenario(snr_db=10.0),
                 methods=(Method.CBM, Method.DBM_MAGNITUDE, Method.CBM),
             )
+
+
+class TestScenarioFields:
+    CELL = dict(label="cell", ofdm=OfdmParams(128, 32), channel=ChannelScenario(snr_db=10.0))
+
+    def test_ofdm_must_be_ofdm_params(self):
+        # Unchecked, the offset check read the tuple's cp_len: AttributeError.
+        with pytest.raises(ValueError, match=r"^ofdm must be an OfdmParams, got \(128, 32\)$"):
+            Scenario(**{**self.CELL, "ofdm": (128, 32)})
+
+    def test_channel_must_be_a_channel_scenario(self):
+        # Unchecked, the cell was built and run_trial failed on the float's cir_taps.
+        with pytest.raises(ValueError, match="^channel must be a ChannelScenario, got 10.0$"):
+            Scenario(**{**self.CELL, "channel": 10.0})
+
+    def test_label_must_be_a_non_empty_str(self):
+        # Unchecked, the label 5 ran and was hashed into every trial seed as an integer.
+        with pytest.raises(ValueError, match="^label must be a str, got 5$"):
+            Scenario(**{**self.CELL, "label": 5})
+        with pytest.raises(ValueError, match="^scenario label must be non-empty$"):
+            Scenario(**{**self.CELL, "label": ""})
+
+    def test_sto_values_take_any_integer_sequence(self):
+        # Unchecked, an array failed numpy's truth test and a bare 3 iteration, unnamed.
+        cell = Scenario(**self.CELL, sto_values=np.array([1, -2]))
+        assert cell.sto_values == (1, -2) and all(type(sto) is int for sto in cell.sto_values)
+        with pytest.raises(ValueError, match="^sto_values must be a sequence of integers, got 3$"):
+            Scenario(**self.CELL, sto_values=3)
+        with pytest.raises(ValueError, match="^scenario needs at least one true offset$"):
+            Scenario(**self.CELL, sto_values=np.array([], dtype=np.int64))
 
 
 class TestRunTrial:
