@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txgen import SampleStream, _integer
+from .txgen import SampleStream, _instance, _integer, _real
 
 __all__ = [
     "CIR_FIXTURE",
@@ -54,20 +54,21 @@ CIR_FIXTURE: tuple[complex, ...] = (
 MIN_SNR_DB = -300.0
 
 
-def _check_snr_db(snr_db) -> None:
-    """Refuse snr_db unless it is +inf (no noise) or >= MIN_SNR_DB with 10^(snr_db/10) finite."""
-    with contextlib.suppress(OverflowError, TypeError):  # TypeError: e.g. a string
-        if snr_db == math.inf or (snr_db >= MIN_SNR_DB and 10.0 ** (snr_db / 10.0) < math.inf):
-            return
+def _check_snr_db(snr_db) -> float:
+    """snr_db as a float, if +inf (no noise) or >= MIN_SNR_DB with 10^(snr_db/10) finite."""
+    with contextlib.suppress(OverflowError):  # from _real or from 10^(snr_db/10)
+        value = _real("snr_db", snr_db)
+        if value == math.inf or (value >= MIN_SNR_DB and 10.0 ** (value / 10.0) < math.inf):
+            return value
     rule = f"use +inf or a value >= {MIN_SNR_DB:g} (not NaN) with 10^(snr_db/10) finite"
     raise ValueError(f"snr_db={snr_db} cannot size noise; {rule}")
 
 
-def _check_epsilon(epsilon) -> None:
-    """Refuse an epsilon that is not a finite real number."""
-    with contextlib.suppress(TypeError):  # not a real number, e.g. a string
-        if math.isfinite(epsilon):
-            return
+def _check_epsilon(epsilon) -> float:
+    """epsilon as a float; refuse one that is not a finite real number."""
+    with contextlib.suppress(OverflowError):  # from _real: an int beyond float64's range
+        if math.isfinite(value := _real("epsilon", epsilon)):
+            return value
     raise ValueError(f"epsilon must be finite, got {epsilon}")
 
 
@@ -75,22 +76,22 @@ def _check_epsilon(epsilon) -> None:
 class CfoParams:
     """Carrier frequency offset description.
 
-    epsilon is the normalized offset in cycles per n_subcarriers samples.
+    epsilon, stored as a float, is the normalized offset in cycles per n_subcarriers samples.
     """
 
     epsilon: float
 
     def __post_init__(self) -> None:
-        _check_epsilon(self.epsilon)
+        object.__setattr__(self, "epsilon", _check_epsilon(self.epsilon))
 
 
 @dataclass(frozen=True)
 class ChannelScenario:
     """Full impairment description for one run.
 
-    snr_db may be math.inf, the documented no-noise sentinel. cir_taps is
-    stored as a flat tuple of complex, whatever sequence, nesting or array it
-    is given as; empty means an ideal (single unit tap) channel.
+    snr_db is stored as a float and may be math.inf, the no-noise sentinel.
+    cir_taps is stored as a flat tuple of complex, whatever sequence, nesting
+    or array it is given as; empty means an ideal (single unit tap) channel.
     """
 
     snr_db: float
@@ -99,7 +100,7 @@ class ChannelScenario:
     rx_branches: int = 1
 
     def __post_init__(self) -> None:
-        _check_snr_db(self.snr_db)
+        object.__setattr__(self, "snr_db", _check_snr_db(self.snr_db))
         if self.cfo is not None and not isinstance(self.cfo, CfoParams):
             raise ValueError(f"cfo must be a CfoParams or None, got {self.cfo!r}")
         object.__setattr__(self, "rx_branches", _integer("rx_branches", self.rx_branches, 1))
@@ -196,7 +197,7 @@ def random_cir(n_taps: int, seed: int, normalize: bool = False) -> np.ndarray:
     n_taps = _integer("n_taps", n_taps, 1)
     rng = np.random.default_rng(_integer("seed", seed, 0))
     taps = (rng.standard_normal(n_taps) + 1j * rng.standard_normal(n_taps)) / np.sqrt(2.0)
-    if normalize:
+    if _instance("normalize", normalize, bool):
         taps /= np.sqrt(np.sum(np.abs(taps) ** 2))
     return taps
 
@@ -209,7 +210,7 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
     is drawn independently per branch from one seeded generator: one
     (n_branches, 2, buffer_len) draw, real then imaginary part per branch.
     """
-    _check_snr_db(snr_db)
+    snr_db = _check_snr_db(snr_db)
     seed = _integer("seed", seed, 0)
     if snr_db == math.inf:
         return stream
@@ -232,21 +233,15 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
 
 def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
     """Rotate sample m by exp(j*2*pi*epsilon*m/n_fft) on every branch."""
-    _check_epsilon(epsilon)
+    epsilon = _check_epsilon(epsilon)
     n_fft = _integer("n_fft", n_fft, 1)
     ramp = _cfo_ramp(stream.buffer_len, epsilon, n_fft, math.copysign(1.0, epsilon))
     return stream._derive(branches=stream.branches * ramp)
 
 
-@functools.lru_cache(maxsize=32, typed=True)
+@functools.lru_cache(maxsize=32)
 def _cfo_ramp(buffer_len: int, epsilon: float, n_fft: int, sign: float) -> np.ndarray:
-    """apply_cfo's phase ramp, read-only and memoised: every trial of a cell shares it.
-
-    The key matches epsilon exactly. typed keeps 0.5 apart from np.float32(0.5),
-    whose product rounds differently. sign keeps -0.0 apart from 0.0: they compare
-    equal, and their ramps agree only while np.exp maps the signed zeros of the
-    product to the same values.
-    """
+    """apply_cfo's read-only ramp, memoised for a cell's trials; sign keys -0.0 apart from 0.0."""
     phase = np.exp(2j * np.pi * epsilon * np.arange(buffer_len) / n_fft)
     phase.flags.writeable = False
     return phase

@@ -162,7 +162,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             m = stats.methods[method]
             rows.append(
                 [
-                    float(scenario.channel.snr_db),
+                    scenario.channel.snr_db,
                     scenario.ofdm.cp_len,
                     scenario.channel_mode,
                     method.value,

@@ -20,6 +20,7 @@ hash() is salted per process and is deliberately not used.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import itertools
 from dataclasses import dataclass
@@ -38,7 +39,7 @@ from .channel import (
     replicate_branches,
 )
 from .sync import Method, MetricTrace, _default_configs, check_search_offset, estimate_sto
-from .txgen import OfdmParams, _integer, build_frame
+from .txgen import OfdmParams, _instance, _integer, build_frame
 
 __all__ = [
     "ALL_METHODS",
@@ -94,6 +95,14 @@ def derive_seed(*parts: int | str) -> int:
     return int.from_bytes(h.digest(), "little")
 
 
+def _items(name: str, values, rule: str) -> tuple:
+    """values as a tuple; refuse text, which would split into characters, or a non-iterable."""
+    if not isinstance(values, str):
+        with contextlib.suppress(TypeError):  # not iterable, e.g. None or a bare member
+            return tuple(values)
+    raise ValueError(f"{name} must {rule}, got {values!r}")
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One cell of the experiment grid.
@@ -112,16 +121,12 @@ class Scenario:
     n_random_taps: int = 10
 
     def __post_init__(self) -> None:
-        # A tuple keeps the scenario hashable and keys run_trial's memoised configs.
-        object.__setattr__(self, "methods", tuple(self.methods))
-        if not isinstance(self.label, str):
-            raise ValueError(f"label must be a str, got {self.label!r}")
-        if not self.label:
+        if not _instance("label", self.label, str):
             raise ValueError("scenario label must be non-empty")
-        if not isinstance(self.ofdm, OfdmParams):
-            raise ValueError(f"ofdm must be an OfdmParams, got {self.ofdm!r}")
-        if not isinstance(self.channel, ChannelScenario):
-            raise ValueError(f"channel must be a ChannelScenario, got {self.channel!r}")
+        _instance("ofdm", self.ofdm, OfdmParams)
+        _instance("channel", self.channel, ChannelScenario)
+        # A tuple keeps the scenario hashable and keys run_trial's memoised configs.
+        object.__setattr__(self, "methods", _items("methods", self.methods, "hold Method members"))
         if not self.methods:
             raise ValueError("scenario needs at least one method")
         for method in self.methods:
@@ -130,20 +135,15 @@ class Scenario:
         if len(set(self.methods)) != len(self.methods):
             names = ", ".join(m.value for m in self.methods)
             raise ValueError(f"methods must not repeat, got ({names})")
-        try:
-            stos = tuple(self.sto_values)
-        except TypeError:  # not iterable, e.g. a bare integer
-            message = f"sto_values must be a sequence of integers, got {self.sto_values!r}"
-            raise ValueError(message) from None
+        stos = _items("sto_values", self.sto_values, "be a sequence of integers")
         if not stos:
             raise ValueError("scenario needs at least one true offset")
         stos = tuple(check_search_offset("sto", sto, self.ofdm) for sto in stos)
         object.__setattr__(self, "sto_values", stos)
-        if self.fresh_cir_per_trial and self.channel.cir_taps:
+        fresh = _instance("fresh_cir_per_trial", self.fresh_cir_per_trial, bool)
+        if fresh and self.channel.cir_taps:
             raise ValueError("fresh_cir_per_trial excludes fixed cir_taps")
-        if self.fresh_cir_per_trial:
-            count = _integer("n_random_taps", self.n_random_taps, 1)
-            object.__setattr__(self, "n_random_taps", count)
+        object.__setattr__(self, "n_random_taps", _integer("n_random_taps", self.n_random_taps, 1))
 
     @property
     def channel_mode(self) -> str:

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txgen import OfdmParams, SampleStream, _integer
+from .txgen import OfdmParams, SampleStream, _instance, _integer
 
 __all__ = [
     "Method",
@@ -85,8 +85,7 @@ class EstimatorConfig:
     symbols_averaged: int = 1
 
     def __post_init__(self) -> None:
-        if not isinstance(self.method, Method):
-            raise ValueError(f"method must be a Method, got {self.method!r}")
+        _instance("method", self.method, Method)
         for name, minimum in (("search_min", None), ("search_max", None), ("n", None),
                               ("n_fft", None), ("cp_len", 1), ("symbols_averaged", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))

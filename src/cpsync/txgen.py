@@ -45,12 +45,6 @@ class Constellation(enum.Enum):
         return 2 if self is Constellation.QPSK else 4
 
 
-def _check_constellation(value) -> None:
-    """Refuse anything but a Constellation member, naming the field."""
-    if not isinstance(value, Constellation):
-        raise ValueError(f"constellation must be a Constellation, got {value!r}")
-
-
 def _integer(name: str, value, minimum: int | None = None) -> int:
     """value as a Python int; refuse a non-integer (bool included) or one below minimum."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -58,6 +52,21 @@ def _integer(name: str, value, minimum: int | None = None) -> int:
     value = int(value)
     if minimum is not None and value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _real(name: str, value) -> float:
+    """value as a Python float; refuse a non-real (bool, text, None and complex included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)  # an int beyond float64's range raises OverflowError
+
+
+def _instance(name: str, value, cls: type):
+    """value, if it is a cls instance; else refuse it, naming the field and the class."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOUaeiou" else "a"
+        raise ValueError(f"{name} must be {article} {cls.__name__}, got {value!r}")
     return value
 
 
@@ -77,7 +86,7 @@ class OfdmParams:
     def __post_init__(self) -> None:
         for name, minimum in (("n_subcarriers", 2), ("cp_len", None), ("symbols_per_frame", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
-        _check_constellation(self.constellation)
+        _instance("constellation", self.constellation, Constellation)
         if not 0 < self.cp_len < self.n_subcarriers:
             raise ValueError(
                 f"cp_len must satisfy 0 < cp_len < n_subcarriers, "
@@ -166,7 +175,7 @@ class SampleStream:
 
 def map_bits(bits, constellation: Constellation) -> np.ndarray:
     """Map a bit vector to Gray-coded unit-average-power constellation points."""
-    _check_constellation(constellation)
+    _instance("constellation", constellation, Constellation)
     b = np.asarray(bits, dtype=np.int64).ravel()
     if b.size and not np.all((b == 0) | (b == 1)):
         raise ValueError("bits must contain only 0s and 1s")

@@ -8,6 +8,8 @@ accumulated_pair_series sums the estimators' pair terms one (branch, symbol)
 row at a time, the reference order for estimate_sto's strided gather;
 tap_major_convolution convolves each whole row one tap at a time, the
 reference order for apply_cir's support-only broadcast loop.
+expected_cbm_trace is the analytic mean CBM shape in a multipath channel,
+whose arg max pdp_median_delay gives while the profile spans less than CP.
 """
 
 from __future__ import annotations
@@ -139,6 +141,29 @@ def pdp_median_delay(taps) -> int:
         if cumulative >= half:
             return delay
     return 0
+
+
+def expected_cbm_trace(taps, cp_len: int, offsets) -> list[float]:
+    """The CBM metric's expected shape at each offset e from the true STO.
+
+    For unit-power white symbols, tap k repeats the CP structure k samples
+    late, and its CP pairs overlap a window at e on max(0, cp_len - |e - k|)
+    samples. So E[value(e)] is proportional to sum_k |h_k|^2 * max(0, cp_len
+    - |e - k|): the power-delay profile convolved with a triangle of half-width
+    cp_len. The signal power and the numbers of symbols and branches only
+    scale it; the mean of |value|, which CBM reports, also carries a noise
+    floor that this model omits. Where every tap lies within cp_len of e the
+    sum is cp_len * sum_k |h_k|^2 - sum_k |h_k|^2 * |e - k|, which peaks at
+    pdp_median_delay.
+    """
+    powers = [abs(complex(h)) ** 2 for h in taps]
+    trace = []
+    for e in offsets:
+        total = 0.0
+        for k, power in enumerate(powers):
+            total += power * max(0, cp_len - abs(e - k))
+        trace.append(total)
+    return trace
 
 
 def tap_major_convolution(branches, taps) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Impairment contracts: timing shift, convolution, noise calibration, CFO."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,11 @@ class TestRandomCir:
         with pytest.raises(ValueError, match="^seed must be an integer, got 'x'"):
             random_cir(3, "x")
 
+    def test_normalize_must_be_a_bool(self):
+        # Unchecked, any truthy value normalised: "no" gave unit-energy taps.
+        with pytest.raises(ValueError, match="^normalize must be a bool, got 'no'$"):
+            random_cir(3, seed=1, normalize="no")
+
 
 class TestAddAwgn:
     def test_infinite_snr_leaves_stream_unchanged(self):
@@ -370,7 +376,7 @@ class TestApplyCfo:
     def test_non_finite_epsilon_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             apply_cfo(_unit_stream(n=8), math.inf, n_fft=4)
-        with pytest.raises(ValueError, match="epsilon must be finite, got 0.2"):
+        with pytest.raises(ValueError, match="^epsilon must be a real number, got '0.2'$"):
             apply_cfo(_unit_stream(n=8), "0.2", n_fft=4)
 
     def test_n_fft_must_be_a_positive_integer(self):
@@ -388,7 +394,7 @@ class TestApplyCfo:
     @pytest.mark.parametrize("epsilons", [
         (0.0, -0.0),  # equal values: neither may be handed the other's ramp
         (-0.0, 0.0),
-        (0.5, np.float32(0.5), 0.5),  # equal, but the float32 product rounds differently
+        (0.5, np.float32(0.5), 0.5),  # equal: np.float32(0.5) runs as the float 0.5
         (3, 3.0, -1.37, 0.2),
     ])
     def test_memoised_ramp_equals_inline_phase_bytes(self, epsilons):
@@ -398,7 +404,7 @@ class TestApplyCfo:
         stream = SampleStream(branches=rows, sample_origin=0)
         _cfo_ramp.cache_clear()
         for epsilon in epsilons:  # each call after the first may read the cache
-            phase = np.exp(2j * np.pi * epsilon * np.arange(300) / 64)
+            phase = np.exp(2j * np.pi * float(epsilon) * np.arange(300) / 64)
             out = apply_cfo(stream, epsilon, n_fft=64)
             assert out.branches.tobytes() == (stream.branches * phase).tobytes()
 
@@ -504,7 +510,7 @@ class TestScenarioTypes:
             with pytest.raises(ValueError, match="^cir_taps must be numbers, got "):
                 ChannelScenario(snr_db=10.0, cir_taps=taps)
         # Unchecked, a string fails the comparison with a bare TypeError.
-        with pytest.raises(ValueError, match="^snr_db=10 cannot size noise"):
+        with pytest.raises(ValueError, match="^snr_db must be a real number, got '10'$"):
             ChannelScenario(snr_db="10")
 
     def test_channel_scenario_takes_array_taps_and_stays_hashable(self):
@@ -518,7 +524,7 @@ class TestScenarioTypes:
     def test_cfo_params_validation(self):
         with pytest.raises(ValueError, match="epsilon"):
             CfoParams(epsilon=math.nan)
-        with pytest.raises(ValueError, match="^epsilon must be finite, got 0.2"):
+        with pytest.raises(ValueError, match="^epsilon must be a real number, got '0.2'$"):
             CfoParams("0.2")
 
     def test_replicate_branches(self):
@@ -534,3 +540,62 @@ class TestScenarioTypes:
             replicate_branches(stream, 2.5)
         with pytest.raises(ValueError, match="^n_branches must be >= 1, got 0"):
             replicate_branches(stream, 0)
+
+
+# Values that are not real numbers, though Python or numpy can compare or
+# parse some of them: True ran as 1 dB or epsilon 1, and "10" was refused as
+# a number that cannot size noise.
+NOT_REAL = [True, np.True_, "10", None, 1j, np.complex128(1)]
+
+
+class TestRealValueRule:
+    """snr_db and epsilon pass one rule and are used as the Python float it returns."""
+
+    @staticmethod
+    def _refusal(name, value):
+        return rf"^{name} must be a real number, got {re.escape(repr(value))}$"
+
+    @pytest.mark.parametrize("bad", NOT_REAL)
+    def test_constructors_refuse_non_reals(self, bad):
+        with pytest.raises(ValueError, match=self._refusal("snr_db", bad)):
+            ChannelScenario(snr_db=bad)
+        with pytest.raises(ValueError, match=self._refusal("epsilon", bad)):
+            CfoParams(bad)
+
+    @pytest.mark.parametrize("bad", NOT_REAL)
+    def test_impairments_refuse_non_reals_before_any_draw(self, bad, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("drew noise or built a ramp for a refused value")
+
+        stream = _unit_stream(n=64, seed=1)
+        monkeypatch.setattr(np.random, "default_rng", fail)
+        monkeypatch.setattr("cpsync.channel._cfo_ramp", fail)
+        with pytest.raises(ValueError, match=self._refusal("snr_db", bad)):
+            add_awgn(stream, bad, seed=5)
+        with pytest.raises(ValueError, match=self._refusal("epsilon", bad)):
+            apply_cfo(stream, bad, n_fft=16)
+
+    @pytest.mark.parametrize("kind", [int, np.int64, np.float32, np.float64])
+    def test_constructors_store_a_python_float(self, kind):
+        scenario = ChannelScenario(snr_db=kind(10))
+        cfo = CfoParams(kind(2) if kind in (int, np.int64) else kind(0.2))
+        assert type(scenario.snr_db) is float and scenario.snr_db == 10.0
+        assert type(cfo.epsilon) is float
+        assert cfo.epsilon == (2.0 if kind in (int, np.int64) else float(kind(0.2)))
+
+    def test_float32_snr_draws_the_same_noise(self):
+        stream = _unit_stream(n=256, seed=2, branches=2)
+        want = add_awgn(stream, 2.0, seed=5).branches.tobytes()
+        assert add_awgn(stream, np.float32(2.0), seed=5).branches.tobytes() == want
+
+    def test_float32_epsilon_rotates_by_its_float_value(self):
+        stream = _unit_stream(n=300, seed=3, branches=2)
+        want = apply_cfo(stream, float(np.float32(0.2)), n_fft=128).branches.tobytes()
+        assert apply_cfo(stream, np.float32(0.2), n_fft=128).branches.tobytes() == want
+
+    def test_int_beyond_float64_is_refused_by_the_owner_rule(self):
+        # float() cannot hold it; unchecked, the epsilon raised a bare OverflowError.
+        with pytest.raises(ValueError, match=r"^snr_db=1000+ cannot size noise; "):
+            ChannelScenario(snr_db=10**400)
+        with pytest.raises(ValueError, match=r"^epsilon must be finite, got -1000+$"):
+            CfoParams(-(10**400))

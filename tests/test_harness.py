@@ -223,6 +223,41 @@ class TestScenarioFields:
         with pytest.raises(ValueError, match="^scenario needs at least one true offset$"):
             Scenario(**self.CELL, sto_values=np.array([], dtype=np.int64))
 
+    def test_sto_values_text_is_refused_whole(self):
+        # Unsplit, "32" was refused as its first character: "sto must be an integer, got '3'".
+        message = "^sto_values must be a sequence of integers, got '32'$"
+        with pytest.raises(ValueError, match=message):
+            Scenario(**self.CELL, sto_values="32")
+
+    def test_fresh_cir_per_trial_must_be_a_bool(self):
+        # Unchecked, "no" drew a fresh random CIR every trial and read channel_mode "cir".
+        with pytest.raises(ValueError, match="^fresh_cir_per_trial must be a bool, got 'no'$"):
+            Scenario(**self.CELL, fresh_cir_per_trial="no")
+
+    @pytest.mark.parametrize("bad, message", [
+        ("q", "^n_random_taps must be an integer, got 'q'$"),
+        (0, "^n_random_taps must be >= 1, got 0$"),
+    ], ids=["text", "zero"])
+    def test_n_random_taps_checked_without_the_flag(self, bad, message):
+        # Unchecked while fresh_cir_per_trial was False, both were stored silently.
+        with pytest.raises(ValueError, match=message):
+            Scenario(**self.CELL, n_random_taps=bad)
+
+    def test_methods_text_is_refused_whole(self):
+        # Split into characters, "cbm" was refused as got 'c'.
+        with pytest.raises(ValueError, match="^methods must hold Method members, got 'cbm'$"):
+            Scenario(**self.CELL, methods="cbm")
+
+    def test_methods_lone_member_is_refused(self):
+        # Unchecked, tuple(Method.CBM) raised a bare TypeError.
+        message = r"^methods must hold Method members, got <Method.CBM: 'cbm'>$"
+        with pytest.raises(ValueError, match=message):
+            Scenario(**self.CELL, methods=Method.CBM)
+
+    def test_methods_non_iterable_is_refused(self):
+        with pytest.raises(ValueError, match="^methods must hold Method members, got None$"):
+            Scenario(**self.CELL, methods=None)
+
 
 class TestRunTrial:
     def test_noiseless_recovery(self):
