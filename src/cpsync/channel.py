@@ -58,7 +58,8 @@ def _check_snr_db(snr_db) -> float:
     """snr_db as a float, if +inf (no noise) or >= MIN_SNR_DB with 10^(snr_db/10) finite."""
     with contextlib.suppress(OverflowError):  # from _real or from 10^(snr_db/10)
         value = _real("snr_db", snr_db)
-        if value == math.inf or (value >= MIN_SNR_DB and 10.0 ** (value / 10.0) < math.inf):
+        # +inf passes only as given: a longdouble beyond float64 becomes inf in value.
+        if snr_db == math.inf or (value >= MIN_SNR_DB and 10.0 ** (value / 10.0) < math.inf):
             return value
     rule = f"use +inf or a value >= {MIN_SNR_DB:g} (not NaN) with 10^(snr_db/10) finite"
     raise ValueError(f"snr_db={snr_db} cannot size noise; {rule}")

@@ -599,3 +599,17 @@ class TestRealValueRule:
             ChannelScenario(snr_db=10**400)
         with pytest.raises(ValueError, match=r"^epsilon must be finite, got -1000+$"):
             CfoParams(-(10**400))
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).max == np.finfo(np.float64).max,
+        reason="longdouble is float64 here, so 1e400 is already inf",
+    )
+    def test_longdouble_beyond_float64_is_not_the_no_noise_sentinel(self):
+        # Narrowed to float, it reads inf; as given, it is a finite SNR that cannot size noise.
+        huge = np.longdouble("1e400")
+        with pytest.raises(ValueError, match="cannot size noise"):
+            ChannelScenario(snr_db=huge)
+        with pytest.raises(ValueError, match="cannot size noise"):
+            add_awgn(_unit_stream(n=64, seed=1), huge, seed=5)
+        with pytest.raises(ValueError, match="^epsilon must be finite"):
+            CfoParams(huge)
