@@ -97,7 +97,7 @@ def derive_seed(*parts: int | str) -> int:
 
 def _items(name: str, values, rule: str) -> tuple:
     """values as a tuple; refuse text, which would split into characters, or a non-iterable."""
-    if not isinstance(values, str):
+    if not isinstance(values, (str, bytes)):
         with contextlib.suppress(TypeError):  # not iterable, e.g. None or a bare member
             return tuple(values)
     raise ValueError(f"{name} must {rule}, got {values!r}")

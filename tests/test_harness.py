@@ -244,9 +244,11 @@ class TestScenarioFields:
             Scenario(**self.CELL, n_random_taps=bad)
 
     def test_methods_text_is_refused_whole(self):
-        # Split into characters, "cbm" was refused as got 'c'.
+        # Split into characters, "cbm" was refused as got 'c', and b"cbm" as got 99.
         with pytest.raises(ValueError, match="^methods must hold Method members, got 'cbm'$"):
             Scenario(**self.CELL, methods="cbm")
+        with pytest.raises(ValueError, match="^methods must hold Method members, got b'cbm'$"):
+            Scenario(**self.CELL, methods=b"cbm")
 
     def test_methods_lone_member_is_refused(self):
         # Unchecked, tuple(Method.CBM) raised a bare TypeError.
