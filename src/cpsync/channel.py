@@ -2,7 +2,10 @@
 
 All impairments are pure, seed-deterministic transforms that return new
 SampleStream instances, valid by construction and not re-checked; input
-buffers are never mutated. apply_cir and add_awgn name the overflow their
+buffers are never mutated. Each sample array they write comes from
+txgen._buffer: a fresh array that the caller owns, except inside
+run_monte_carlo's trial-buffer scope, where a stage writes the same array
+every trial. apply_cir and add_awgn name the overflow their
 arithmetic can cause. SNR is defined per received sample (Es/N0) against the
 measured payload power of the stream the noise is added to, i.e. after any
 multipath convolution, so runs across channel types compare at equal receiver SNR.
@@ -17,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txgen import SampleStream, _instance, _integer, _real
+from .txgen import SampleStream, _buffer, _instance, _integer, _real
 
 __all__ = [
     "CIR_FIXTURE",
@@ -62,7 +65,7 @@ def _check_snr_db(snr_db) -> float:
         if snr_db == math.inf or (value >= MIN_SNR_DB and 10.0 ** (value / 10.0) < math.inf):
             return value
     rule = f"use +inf or a value >= {MIN_SNR_DB:g} (not NaN) with 10^(snr_db/10) finite"
-    raise ValueError(f"snr_db={snr_db} cannot size noise; {rule}")
+    raise ValueError(f"snr_db={snr_db!s} cannot size noise; {rule}")
 
 
 def _check_epsilon(epsilon) -> float:
@@ -70,7 +73,7 @@ def _check_epsilon(epsilon) -> float:
     with contextlib.suppress(OverflowError):  # from _real: an int beyond float64's range
         if math.isfinite(value := _real("epsilon", epsilon)):
             return value
-    raise ValueError(f"epsilon must be finite, got {epsilon}")
+    raise ValueError(f"epsilon must be finite, got {epsilon!s}")
 
 
 @dataclass(frozen=True)
@@ -174,16 +177,19 @@ def apply_cir(stream: SampleStream, taps) -> SampleStream:
     dispatches its complex multiply to a SIMD kernel chosen at run time.
     """
     h = _checked_taps(taps, "cir taps")
-    out = np.zeros(stream.branches.shape, dtype=np.complex128)
+    x = stream.branches
+    out = _buffer("cir", x.shape, np.complex128)
+    out[...] = 0
     # The support is scanned, not read from the payload bounds: noise fills the guards.
-    support = np.flatnonzero(stream.branches.any(axis=0))
+    support = np.flatnonzero(x.any(axis=0))
     if support.size:
-        x = stream.branches
         lo, hi = int(support[0]), min(int(support[-1]) + h.size, stream.buffer_len)
+        product = _buffer("cir product", x.shape, np.complex128)
         # An overflow is named by the check below, not warned about per tap.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(min(h.size, hi - lo)):
-                out[:, lo + k : hi] += h[k] * x[:, lo : hi - k]
+                term = np.multiply(h[k], x[:, lo : hi - k], out=product[:, : hi - lo - k])
+                out[:, lo + k : hi] += term
         if not np.isfinite(out[:, lo:hi]).all():
             raise ValueError("apply_cir output is non-finite: the convolution overflows float64")
     return stream._derive(branches=out)
@@ -223,8 +229,9 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
         raise ValueError("noise variance is non-finite: the payload power overflows float64")
     rng = np.random.default_rng(seed)
     scale = np.sqrt(sigma2 / 2.0)
-    draws = rng.standard_normal((stream.n_branches, 2, stream.buffer_len))
-    noise = np.empty((stream.n_branches, stream.buffer_len), dtype=np.complex128)
+    draws = _buffer("awgn draws", (stream.n_branches, 2, stream.buffer_len), np.float64)
+    rng.standard_normal(out=draws)
+    noise = _buffer("awgn", stream.branches.shape, np.complex128)
     noise.real = draws[:, 0]
     noise.imag = draws[:, 1]
     noise *= scale
@@ -237,7 +244,8 @@ def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
     epsilon = _check_epsilon(epsilon)
     n_fft = _integer("n_fft", n_fft, 1)
     ramp = _cfo_ramp(stream.buffer_len, epsilon, n_fft, math.copysign(1.0, epsilon))
-    return stream._derive(branches=stream.branches * ramp)
+    rotated = _buffer("cfo", stream.branches.shape, np.complex128)
+    return stream._derive(branches=np.multiply(stream.branches, ramp, out=rotated))
 
 
 @functools.lru_cache(maxsize=32)

@@ -39,7 +39,7 @@ from .channel import (
     replicate_branches,
 )
 from .sync import Method, MetricTrace, _default_configs, check_search_offset, estimate_sto
-from .txgen import OfdmParams, _instance, _integer, build_frame
+from .txgen import OfdmParams, _instance, _integer, _trial_buffers, build_frame
 
 __all__ = [
     "ALL_METHODS",
@@ -77,7 +77,7 @@ def derive_seed(*parts: int | str) -> int:
     """Deterministic 64-bit seed from tagged integer/string parts."""
     h = hashlib.blake2b(digest_size=8)
     for part in parts:
-        if isinstance(part, (int, np.integer)):
+        if isinstance(part, (int, np.integer)) and not isinstance(part, bool):
             try:
                 packed = int(part).to_bytes(16, "little", signed=True)
             except OverflowError:
@@ -262,15 +262,21 @@ def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
 
 
 def run_monte_carlo(scenario: Scenario, n_trials: int, master_seed: int) -> ScenarioStats:
-    """Aggregate run_trial over n_trials derived seeds, cycling the offset set."""
+    """Aggregate run_trial over n_trials derived seeds, cycling the offset set.
+
+    The trials write their streams into one set of sample buffers, which is
+    released when the call returns or raises.
+    """
     n_trials = _integer("n_trials", n_trials, 1)
     master_seed = _integer("master_seed", master_seed)
     errors: dict[Method, list[int]] = {m: [] for m in scenario.methods}
-    for index in range(n_trials):
-        true_sto = scenario.sto_values[index % len(scenario.sto_values)]
-        result = run_trial(scenario, true_sto, derive_seed(master_seed, scenario.label, index))
-        for method, estimate in result.estimates.items():
-            errors[method].append(estimate - true_sto)
+    # No stream outlives its trial: a TrialResult holds only traces.
+    with _trial_buffers():
+        for index in range(n_trials):
+            true_sto = scenario.sto_values[index % len(scenario.sto_values)]
+            result = run_trial(scenario, true_sto, derive_seed(master_seed, scenario.label, index))
+            for method, estimate in result.estimates.items():
+                errors[method].append(estimate - true_sto)
     return ScenarioStats(
         label=scenario.label,
         n_trials=n_trials,

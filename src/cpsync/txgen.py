@@ -13,7 +13,9 @@ Both constellations have exactly unit average power.
 
 from __future__ import annotations
 
+import contextlib
 import enum
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,6 +99,44 @@ class OfdmParams:
     def symbol_len(self) -> int:
         """CP-extended symbol length in samples."""
         return self.n_subcarriers + self.cp_len
+
+
+class _Scope(threading.local):
+    """Each thread's trial buffers: a name -> array dict inside _trial_buffers, else None."""
+
+    buffers: dict | None = None
+
+
+_SCOPE = _Scope()
+
+
+@contextlib.contextmanager
+def _trial_buffers():
+    """A scope in which _buffer hands each name the same array on every call of this thread.
+
+    The arrays are dropped on exit, and any outer scope is restored. A stream
+    built inside the scope lives only until a later stage writes the same name.
+    """
+    outer = _SCOPE.buffers
+    _SCOPE.buffers = {}
+    try:
+        yield
+    finally:
+        _SCOPE.buffers = outer
+
+
+def _buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array: the scope's array for name, new if absent or reshaped; else fresh.
+
+    Each name is used with one dtype, so only the shape is compared.
+    """
+    buffers = _SCOPE.buffers
+    if buffers is None:
+        return np.empty(shape, dtype)
+    array = buffers.get(name)
+    if array is None or array.shape != shape:
+        array = buffers[name] = np.empty(shape, dtype)
+    return array
 
 
 def _unchecked(cls, **fields):
@@ -216,7 +256,9 @@ def build_frame(params: OfdmParams, seed: int) -> SampleStream:
     bits = rng.integers(0, 2, size=(count, n * k))
     bodies = idft(_points(bits.reshape(-1, k), params.constellation).reshape(count, n) * np.sqrt(n))
     payload_stop = n + count * params.symbol_len
-    buffer = np.zeros((1, payload_stop + n), dtype=np.complex128)
+    buffer = _buffer("frame", (1, payload_stop + n), np.complex128)
+    buffer[:, :n] = 0
+    buffer[:, payload_stop:] = 0
     symbols = buffer[0, n:payload_stop].reshape(count, params.symbol_len)
     symbols[:, :cp] = bodies[:, -cp:]
     symbols[:, cp:] = bodies

@@ -613,3 +613,23 @@ class TestRealValueRule:
             add_awgn(_unit_stream(n=64, seed=1), huge, seed=5)
         with pytest.raises(ValueError, match="^epsilon must be finite"):
             CfoParams(huge)
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).max == np.finfo(np.float64).max,
+        reason="longdouble is float64 here, so 1e400 is already inf",
+    )
+    def test_refusals_print_the_value_as_given(self):
+        # Formatted through float, both messages read inf.
+        huge = np.longdouble("1e400")
+        with pytest.raises(ValueError, match=r"^snr_db=1e\+400 cannot size noise; "):
+            ChannelScenario(snr_db=huge)
+        with pytest.raises(ValueError, match=r"^epsilon must be finite, got 1e\+400$"):
+            CfoParams(huge)
+
+    def test_float_refusals_read_word_for_word(self):
+        rule = "use +inf or a value >= -300 (not NaN) with 10^(snr_db/10) finite"
+        message = f"snr_db=-300.5 cannot size noise; {rule}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ChannelScenario(snr_db=-300.5)
+        with pytest.raises(ValueError, match="^epsilon must be finite, got -inf$"):
+            CfoParams(-math.inf)

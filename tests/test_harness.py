@@ -49,6 +49,12 @@ class TestDeriveSeed:
         with pytest.raises(TypeError):
             derive_seed(1.5)
 
+    # Unchecked, True was hashed as the integer 1: derive_seed(True, "x") == derive_seed(1, "x").
+    @pytest.mark.parametrize("parts", [(True, "x"), ("x", False), (np.True_,)])
+    def test_rejects_bool_parts(self, parts):
+        with pytest.raises(TypeError, match="^seed parts must be int or str, got bool$"):
+            derive_seed(*parts)
+
     @pytest.mark.parametrize("part", [2**127, -(2**127) - 1, 2**200])
     def test_out_of_range_int_names_value_and_range(self, part):
         with pytest.raises(ValueError, match=r"\[-2\*\*127, 2\*\*127\), got -?\d+"):
