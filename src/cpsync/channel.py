@@ -5,7 +5,7 @@ SampleStream instances, valid by construction and not re-checked; input
 buffers are never mutated. Each sample array they write comes from
 txgen._buffer: a fresh array that the caller owns, except inside
 run_monte_carlo's trial-buffer scope, where a stage writes the same array
-every trial. apply_cir and add_awgn name the overflow their
+every trial. apply_cir, add_awgn and apply_cfo name the overflow their
 arithmetic can cause. SNR is defined per received sample (Es/N0) against the
 measured payload power of the stream the noise is added to, i.e. after any
 multipath convolution, so runs across channel types compare at equal receiver SNR.
@@ -250,7 +250,15 @@ def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
 
 @functools.lru_cache(maxsize=32)
 def _cfo_ramp(buffer_len: int, epsilon: float, n_fft: int, sign: float) -> np.ndarray:
-    """apply_cfo's read-only ramp, memoised for a cell's trials; sign keys -0.0 apart from 0.0."""
-    phase = np.exp(2j * np.pi * epsilon * np.arange(buffer_len) / n_fft)
+    """apply_cfo's read-only ramp, memoised for a cell's trials; sign keys -0.0 apart from 0.0.
+
+    A ramp whose phase overflows is refused, and lru_cache keeps no call that raised.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
+        phase = np.exp(2j * np.pi * epsilon * np.arange(buffer_len) / n_fft)
+    if not np.isfinite(phase).all():
+        raise ValueError(
+            f"epsilon={epsilon!s} makes the phase ramp non-finite over {buffer_len} samples"
+        )
     phase.flags.writeable = False
     return phase

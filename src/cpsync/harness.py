@@ -38,7 +38,7 @@ from .channel import (
     random_cir,
     replicate_branches,
 )
-from .sync import Method, MetricTrace, _default_configs, check_search_offset, estimate_sto
+from .sync import Method, MetricTrace, check_search_offset, default_config, estimate_sto
 from .txgen import OfdmParams, _instance, _integer, _trial_buffers, build_frame
 
 __all__ = [
@@ -125,7 +125,7 @@ class Scenario:
             raise ValueError("scenario label must be non-empty")
         _instance("ofdm", self.ofdm, OfdmParams)
         _instance("channel", self.channel, ChannelScenario)
-        # A tuple keeps the scenario hashable and keys run_trial's memoised configs.
+        # A tuple keeps the scenario hashable.
         object.__setattr__(self, "methods", _items("methods", self.methods, "hold Method members"))
         if not self.methods:
             raise ValueError("scenario needs at least one method")
@@ -253,11 +253,7 @@ def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
         # Receiver-mixer model: the rotation hits signal and noise alike, so
         # magnitude-based decisions match the CFO-free run exactly.
         stream = apply_cfo(stream, scenario.channel.cfo.epsilon, ofdm.n_subcarriers)
-    # Every trial of a cell shares one search window, so the configs are memoised.
-    configs = _default_configs(
-        ofdm, stream.buffer_len, stream.sample_origin, scenario.methods, None
-    )
-    traces = {cfg.method: estimate_sto(stream, cfg) for cfg in configs}
+    traces = {m: estimate_sto(stream, default_config(stream, ofdm, m)) for m in scenario.methods}
     return TrialResult(traces=traces)
 
 

@@ -240,42 +240,37 @@ def default_config(
     The range is clamped so the full sweep window stays inside the stream's
     buffer; averaging defaults to every symbol in the frame.
     """
-    return _default_configs(
-        params, stream.buffer_len, stream.sample_origin, (method,), symbols_averaged
-    )[0]
+    return _default_config(
+        params, stream.buffer_len, stream.sample_origin, method, symbols_averaged
+    )
 
 
 @functools.lru_cache(maxsize=256)
-def _default_configs(
+def _default_config(
     params: OfdmParams,
     buffer_len: int,
     n: int,
-    methods: tuple[Method, ...],
+    method: Method,
     symbols_averaged: int | None,
-) -> tuple[EstimatorConfig, ...]:
-    """default_config for each method in turn, built once per window and memoised.
+) -> EstimatorConfig:
+    """default_config for one method, built once per window and memoised.
 
-    The window depends only on these arguments, and the configs are frozen,
-    so every trial of a cell shares one validated tuple.
+    The window depends only on these arguments, and the config is frozen,
+    so every trial of a cell shares one validated config per method.
     """
     averaged = params.symbols_per_frame if symbols_averaged is None else symbols_averaged
     half = _search_half_width(params)
     lowest, highest = _search_limits(buffer_len, n, params.symbol_len, averaged)
-    search_min = max(-half, lowest)
+    # lowest is -n <= 0, so only the top of the window can miss 0.
     search_max = min(half, highest)
-    if search_min > 0 or search_max < 0:
-        raise ValueError(
-            f"stream too short for any search window around sample_origin={n}"
-        )
-    return tuple(
-        EstimatorConfig(
-            method=method,
-            search_min=search_min,
-            search_max=search_max,
-            n=n,
-            n_fft=params.n_subcarriers,
-            cp_len=params.cp_len,
-            symbols_averaged=averaged,
-        )
-        for method in methods
+    if search_max < 0:
+        raise ValueError(f"stream too short for any search window around sample_origin={n}")
+    return EstimatorConfig(
+        method=method,
+        search_min=max(-half, lowest),
+        search_max=search_max,
+        n=n,
+        n_fft=params.n_subcarriers,
+        cp_len=params.cp_len,
+        symbols_averaged=averaged,
     )

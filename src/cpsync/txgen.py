@@ -252,7 +252,7 @@ def build_frame(params: OfdmParams, seed: int) -> SampleStream:
     rng = np.random.default_rng(_integer("seed", seed, 0))
     n, cp, count = params.n_subcarriers, params.cp_len, params.symbols_per_frame
     k = params.constellation.bits_per_symbol
-    # A 0/1 draw and finite table points: map_bits' and spectral.idft's checks are skipped.
+    # A 0/1 draw reads map_bits' point tables directly, without its checks.
     bits = rng.integers(0, 2, size=(count, n * k))
     bodies = idft(_points(bits.reshape(-1, k), params.constellation).reshape(count, n) * np.sqrt(n))
     payload_stop = n + count * params.symbol_len

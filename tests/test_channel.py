@@ -345,6 +345,11 @@ class TestAddAwgn:
         with pytest.raises(ValueError, match="zero-power"):
             add_awgn(silent, 10.0, seed=0)
 
+    def test_empty_payload_region_rejected(self):
+        empty = SampleStream(np.ones((1, 8), complex), 0, payload_start=3, payload_stop=3)
+        with pytest.raises(ValueError, match="^stream has an empty payload region$"):
+            add_awgn(empty, 10.0, seed=0)
+
 
 class TestApplyCfo:
     def test_zero_epsilon_is_identity(self):
@@ -407,6 +412,20 @@ class TestApplyCfo:
             phase = np.exp(2j * np.pi * float(epsilon) * np.arange(300) / 64)
             out = apply_cfo(stream, epsilon, n_fft=64)
             assert out.branches.tobytes() == (stream.branches * phase).tobytes()
+
+    def test_overflowing_phase_names_epsilon(self):
+        # 2*pi*epsilon*m leaves float64's range from m = 287 on. Unchecked, numpy
+        # warned, and the memoised NaN ramp turned 609 of the 896 samples into NaN.
+        frame = _frame_128()
+        _cfo_ramp.cache_clear()
+        message = r"^epsilon=1e\+305 makes the phase ramp non-finite over 896 samples$"
+        with pytest.raises(ValueError, match=message):
+            apply_cfo(frame, 1e305, n_fft=128)
+        assert _cfo_ramp.cache_info().currsize == 0
+        # A valid epsilon still rotates by the inline phase, byte for byte.
+        phase = np.exp(2j * np.pi * 0.2 * np.arange(frame.buffer_len) / 128)
+        out = apply_cfo(frame, 0.2, n_fft=128)
+        assert out.branches.tobytes() == (frame.branches * phase).tobytes()
 
     def test_memoised_ramp_is_read_only(self):
         apply_cfo(_unit_stream(n=40, seed=23), 0.3, n_fft=8)

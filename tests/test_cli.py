@@ -292,6 +292,16 @@ class TestValidationAndExitCodes:
         assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
         assert capsys.readouterr().err == f"error: {expected}\n"
 
+    @pytest.mark.parametrize("argv,expected", [
+        (["trace", "--sto", "x"], "sto: expected comma-separated integers, got 'x'"),
+        (["response", "--taps", "foo"],
+         "taps: expected comma-separated complex values, got 'foo'"),
+    ], ids=["sto", "taps"])
+    def test_unparsable_list_names_its_flag(self, tmp_path, capsys, argv, expected):
+        assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not (tmp_path / "x.csv").exists()
+
     # A rule the library owns is checked there only: the CLI reports the
     # owner's own message for the same value, with no prefix of its own.
     @pytest.mark.parametrize("argv,owner", [
@@ -362,6 +372,14 @@ class TestConfigFile:
         code = run_cli("sweep", "--config", str(config), "--out", str(tmp_path / "x.csv"))
         assert code == 2
         assert "trials" in capsys.readouterr().err
+
+    def test_line_without_equals_rejected(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("# defaults\n\nseed 3\n")
+        code = run_cli("trace", "--config", str(config), "--out", str(tmp_path / "x.csv"))
+        assert code == 2
+        assert capsys.readouterr().err == "error: config: line 3 is not key=value: 'seed 3'\n"
+        assert not (tmp_path / "x.csv").exists()
 
     def test_missing_config_file_rejected(self, tmp_path, capsys):
         code = run_cli("trace", "--config", str(tmp_path / "nope.cfg"),

@@ -266,6 +266,10 @@ class TestScenarioFields:
         with pytest.raises(ValueError, match="^methods must hold Method members, got None$"):
             Scenario(**self.CELL, methods=None)
 
+    def test_methods_must_not_be_empty(self):
+        with pytest.raises(ValueError, match="^scenario needs at least one method$"):
+            Scenario(**self.CELL, methods=())
+
 
 class TestRunTrial:
     def test_noiseless_recovery(self):
@@ -413,6 +417,13 @@ class TestRunMonteCarlo:
         a = run_monte_carlo(NOISELESS, n_trials=8, master_seed=77)
         b = run_monte_carlo(NOISELESS, n_trials=8, master_seed=77)
         assert a.methods == b.methods
+
+    def test_overflowing_cfo_names_epsilon(self):
+        # Unchecked, the NaN-rotated stream failed as "cbm metric values are not finite".
+        cell = Scenario(label="cfo", ofdm=OfdmParams(128, 32),
+                        channel=ChannelScenario(snr_db=10.0, cfo=CfoParams(1e305)))
+        with pytest.raises(ValueError, match=r"^epsilon=1e\+305 makes the phase ramp"):
+            run_monte_carlo(cell, n_trials=1, master_seed=0)
 
     def test_noiseless_dbm_magnitude_hits_every_time(self):
         stats = run_monte_carlo(NOISELESS, n_trials=16, master_seed=3)

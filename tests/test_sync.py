@@ -205,6 +205,14 @@ class TestEstimate:
         assert cfg.search_min == -2
         assert cfg.search_max == 24 - 2 - 4 - 16  # buffer_len - n - cp - n_fft
 
+    def test_default_config_refuses_a_stream_too_short_for_any_window(self):
+        # 100 samples cannot hold the four 160-sample symbol periods the window reads.
+        stream = SampleStream(np.zeros((1, 100), complex), 0)
+        message = "^stream too short for any search window around sample_origin=0$"
+        for method in Method:
+            with pytest.raises(ValueError, match=message):
+                default_config(stream, DEFAULT, method)
+
     @pytest.mark.parametrize("method", list(Method))
     def test_trace_fields_hold_by_construction(self, method):
         # MetricTrace checks nothing itself, so every field is checked here on

@@ -1,5 +1,6 @@
 """Frame generation: mapping pins, CP structure, layout and power contracts."""
 
+import re
 import warnings
 
 import numpy as np
@@ -284,6 +285,12 @@ class TestSampleStreamValidation:
             stream = SampleStream(frame, kind(64), payload_start=kind(64), payload_stop=kind(100))
             for value in (stream.sample_origin, stream.payload_start, stream.payload_stop):
                 assert type(value) is int
+
+    @pytest.mark.parametrize("shape", [(8,), (1, 2, 8)], ids=["1-D", "3-D"])
+    def test_branches_must_be_two_dimensional(self, shape):
+        message = f"branches have shape {shape}, expected (n_branches, buffer_len)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SampleStream(np.ones(shape, complex), 0)
 
 
 class TestOfdmParamsValidation:
