@@ -1,12 +1,14 @@
 """Channel impairments: timing offset, multipath convolution, AWGN, CFO rotation.
 
-All impairments are pure, seed-deterministic transforms that return new
-SampleStream instances, valid by construction and not re-checked; input
-buffers are never mutated. Each sample array they write comes from
-txgen._buffer: a fresh array that the caller owns, except inside
-run_monte_carlo's trial-buffer scope, where a stage writes the same array
-every trial. apply_cir, add_awgn and apply_cfo name the overflow their
-arithmetic can cause. SNR is defined per received sample (Es/N0) against the
+All impairments are pure, seed-deterministic transforms that return a
+SampleStream, valid by construction and not re-checked: a new one, except
+that add_awgn at snr_db=+inf returns its input. Input buffers are never
+mutated. apply_cir writes a fresh array. add_awgn and apply_cfo, which run
+after replicate_branches and so write one row per receive branch, take their
+arrays from _buffer: a fresh array that the caller owns, except inside
+run_monte_carlo's trial-buffer scope (_trial_buffers), where a stage writes
+the same array every trial. apply_cir, add_awgn and apply_cfo name the
+overflow their arithmetic can cause. SNR is defined per received sample (Es/N0) against the
 measured payload power of the stream the noise is added to, i.e. after any
 multipath convolution, so runs across channel types compare at equal receiver SNR.
 """
@@ -16,11 +18,12 @@ from __future__ import annotations
 import contextlib
 import functools
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .txgen import SampleStream, _buffer, _instance, _integer, _real
+from .txgen import SampleStream, _instance, _integer, _numbers, _real
 
 __all__ = [
     "CIR_FIXTURE",
@@ -95,7 +98,9 @@ class ChannelScenario:
 
     snr_db is stored as a float and may be math.inf, the no-noise sentinel.
     cir_taps is stored as a flat tuple of complex, whatever sequence, nesting
-    or array it is given as; empty means an ideal (single unit tap) channel.
+    or array it is given as; empty means an ideal (single unit tap) channel,
+    and taps whose energy sum(|h|^2) is 0 in float64 are refused, since no
+    signal would reach the receiver.
     """
 
     snr_db: float
@@ -108,7 +113,10 @@ class ChannelScenario:
         if self.cfo is not None and not isinstance(self.cfo, CfoParams):
             raise ValueError(f"cfo must be a CfoParams or None, got {self.cfo!r}")
         object.__setattr__(self, "rx_branches", _integer("rx_branches", self.rx_branches, 1))
-        object.__setattr__(self, "cir_taps", tuple(_tap_array(self.cir_taps, "cir_taps").tolist()))
+        h = _tap_array(self.cir_taps, "cir_taps")
+        if h.size and np.vdot(h, h).real == 0:  # sum(|h|^2), with no warning if it overflows
+            raise ValueError(f"cir_taps must have energy sum(|h|^2) > 0, got {self.cir_taps!r}")
+        object.__setattr__(self, "cir_taps", tuple(h.tolist()))
 
 
 def replicate_branches(stream: SampleStream, n_branches: int) -> SampleStream:
@@ -139,14 +147,8 @@ def apply_sto(stream: SampleStream, delta: int) -> SampleStream:
 
 
 def _tap_array(taps, name: str) -> np.ndarray:
-    """taps as a 1-D complex128 array; refuse non-numbers or a non-finite tap under name.
-
-    complex() and numpy both parse text, so "12" would otherwise pass as taps.
-    """
-    arr = np.asarray(taps)
-    if arr.dtype.kind not in "biufc":
-        raise ValueError(f"{name} must be numbers, got {taps!r}")
-    h = arr.astype(np.complex128, copy=False).ravel()
+    """taps as a 1-D complex128 array; refuse non-numbers or a non-finite tap under name."""
+    h = _numbers(name, taps).astype(np.complex128, copy=False).ravel()
     if not np.isfinite(h).all():
         raise ValueError(f"{name} must be finite")
     return h
@@ -178,18 +180,15 @@ def apply_cir(stream: SampleStream, taps) -> SampleStream:
     """
     h = _checked_taps(taps, "cir taps")
     x = stream.branches
-    out = _buffer("cir", x.shape, np.complex128)
-    out[...] = 0
+    out = np.zeros(x.shape, np.complex128)
     # The support is scanned, not read from the payload bounds: noise fills the guards.
     support = np.flatnonzero(x.any(axis=0))
     if support.size:
         lo, hi = int(support[0]), min(int(support[-1]) + h.size, stream.buffer_len)
-        product = _buffer("cir product", x.shape, np.complex128)
         # An overflow is named by the check below, not warned about per tap.
         with np.errstate(over="ignore", invalid="ignore"):
             for k in range(min(h.size, hi - lo)):
-                term = np.multiply(h[k], x[:, lo : hi - k], out=product[:, : hi - lo - k])
-                out[:, lo + k : hi] += term
+                out[:, lo + k : hi] += h[k] * x[:, lo : hi - k]
         if not np.isfinite(out[:, lo:hi]).all():
             raise ValueError("apply_cir output is non-finite: the convolution overflows float64")
     return stream._derive(branches=out)
@@ -207,6 +206,44 @@ def random_cir(n_taps: int, seed: int, normalize: bool = False) -> np.ndarray:
     if _instance("normalize", normalize, bool):
         taps /= np.sqrt(np.sum(np.abs(taps) ** 2))
     return taps
+
+
+class _Scope(threading.local):
+    """Each thread's trial buffers: a name -> array dict inside _trial_buffers, else None."""
+
+    buffers: dict | None = None
+
+
+_SCOPE = _Scope()
+
+
+@contextlib.contextmanager
+def _trial_buffers():
+    """A scope in which _buffer hands each name the same array on every call of this thread.
+
+    The arrays are dropped on exit, and any outer scope is restored. A stream
+    built inside the scope lives only until a later stage writes the same name.
+    """
+    outer = _SCOPE.buffers
+    _SCOPE.buffers = {}
+    try:
+        yield
+    finally:
+        _SCOPE.buffers = outer
+
+
+def _buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
+    """An uninitialised array: the scope's array for name, new if absent or reshaped; else fresh.
+
+    Each name is used with one dtype, so only the shape is compared.
+    """
+    buffers = _SCOPE.buffers
+    if buffers is None:
+        return np.empty(shape, dtype)
+    array = buffers.get(name)
+    if array is None or array.shape != shape:
+        array = buffers[name] = np.empty(shape, dtype)
+    return array
 
 
 def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:

@@ -71,7 +71,7 @@ def _load_config(path: str) -> dict[str, str]:
                     raise ValidationError(f"config: line {lineno} is not key=value: {line!r}")
                 key, _, value = line.partition("=")
                 values[key.strip().replace("-", "_")] = value.strip()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ValidationError(f"config: cannot read {path}: {err}")
     return values
 

@@ -31,6 +31,7 @@ from .channel import (
     CIR_FIXTURE,
     ChannelScenario,
     _checked_taps,
+    _trial_buffers,
     add_awgn,
     apply_cfo,
     apply_cir,
@@ -39,7 +40,7 @@ from .channel import (
     replicate_branches,
 )
 from .sync import Method, MetricTrace, check_search_offset, default_config, estimate_sto
-from .txgen import OfdmParams, _instance, _integer, _trial_buffers, build_frame
+from .txgen import OfdmParams, _instance, _integer, build_frame
 
 __all__ = [
     "ALL_METHODS",
@@ -260,8 +261,8 @@ def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
 def run_monte_carlo(scenario: Scenario, n_trials: int, master_seed: int) -> ScenarioStats:
     """Aggregate run_trial over n_trials derived seeds, cycling the offset set.
 
-    The trials write their streams into one set of sample buffers, which is
-    released when the call returns or raises.
+    The trials write their noisy and rotated streams into one set of buffers
+    (channel._trial_buffers), which is released when the call returns or raises.
     """
     n_trials = _integer("n_trials", n_trials, 1)
     master_seed = _integer("master_seed", master_seed)

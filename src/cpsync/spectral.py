@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import numpy as np
 
+from .txgen import _numbers
+
 __all__ = ["dft", "idft"]
 
 
 def _checked_input(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.complex128)
+    arr = _numbers(name, x).astype(np.complex128, copy=False)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be a 1-D vector, got shape {arr.shape}")
     if arr.size == 0:

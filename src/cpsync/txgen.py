@@ -13,9 +13,7 @@ Both constellations have exactly unit average power.
 
 from __future__ import annotations
 
-import contextlib
 import enum
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +62,20 @@ def _real(name: str, value) -> float:
     return float(value)  # an int beyond float64's range raises OverflowError
 
 
+def _numbers(name: str, value) -> np.ndarray:
+    """value as an array of bool, integer, real or complex numbers; else refuse it under name.
+
+    numpy parses text and bytes for a number dtype, so "12" would otherwise pass as 12.
+    """
+    try:
+        array = np.asarray(value)
+    except ValueError as err:  # e.g. a ragged list of rows
+        raise ValueError(f"{name} must be numeric and share one shape: {err}") from None
+    if array.dtype.kind not in "biufc":
+        raise ValueError(f"{name} must be numbers, got {value!r}")
+    return array
+
+
 def _instance(name: str, value, cls: type):
     """value, if it is a cls instance; else refuse it, naming the field and the class."""
     if not isinstance(value, cls):
@@ -101,44 +113,6 @@ class OfdmParams:
         return self.n_subcarriers + self.cp_len
 
 
-class _Scope(threading.local):
-    """Each thread's trial buffers: a name -> array dict inside _trial_buffers, else None."""
-
-    buffers: dict | None = None
-
-
-_SCOPE = _Scope()
-
-
-@contextlib.contextmanager
-def _trial_buffers():
-    """A scope in which _buffer hands each name the same array on every call of this thread.
-
-    The arrays are dropped on exit, and any outer scope is restored. A stream
-    built inside the scope lives only until a later stage writes the same name.
-    """
-    outer = _SCOPE.buffers
-    _SCOPE.buffers = {}
-    try:
-        yield
-    finally:
-        _SCOPE.buffers = outer
-
-
-def _buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
-    """An uninitialised array: the scope's array for name, new if absent or reshaped; else fresh.
-
-    Each name is used with one dtype, so only the shape is compared.
-    """
-    buffers = _SCOPE.buffers
-    if buffers is None:
-        return np.empty(shape, dtype)
-    array = buffers.get(name)
-    if array is None or array.shape != shape:
-        array = buffers[name] = np.empty(shape, dtype)
-    return array
-
-
 def _unchecked(cls, **fields):
     """A dataclass instance that is valid by construction, built without __post_init__."""
     obj = object.__new__(cls)
@@ -154,9 +128,9 @@ class SampleStream:
     rows are stored C-contiguous: an array of any other layout is copied.
     sample_origin is the receiver's nominal start of symbol 0 (index of its
     first CP sample), in [0, buffer_len). payload_start/payload_stop bound the
-    region that actually carries signal (everything outside is zero guard
-    padding); the noise generator measures signal power over that region only.
-    The three are stored as Python ints.
+    region that actually carries signal (build_frame leaves zeros outside it,
+    which add_awgn fills with noise); the noise generator measures signal power
+    over that region only. The three are stored as Python ints.
     """
 
     branches: np.ndarray
@@ -165,10 +139,8 @@ class SampleStream:
     payload_stop: int | None = None
 
     def __post_init__(self) -> None:
-        try:
-            self.branches = np.asarray(self.branches, dtype=np.complex128, order="C")
-        except ValueError as err:  # e.g. a ragged list of branches
-            raise ValueError(f"branches must be numeric and share one shape: {err}") from None
+        branches = _numbers("branches", self.branches)
+        self.branches = np.asarray(branches, dtype=np.complex128, order="C")
         shape = self.branches.shape
         if shape[:1] == (0,):
             raise ValueError("SampleStream needs at least one branch")
@@ -216,8 +188,9 @@ class SampleStream:
 def map_bits(bits, constellation: Constellation) -> np.ndarray:
     """Map a bit vector to Gray-coded unit-average-power constellation points."""
     _instance("constellation", constellation, Constellation)
-    b = np.asarray(bits, dtype=np.int64).ravel()
-    if b.size and not np.all((b == 0) | (b == 1)):
+    b = _numbers("bits", bits).ravel()
+    ones = b == 1
+    if not np.all(ones | (b == 0)):
         raise ValueError("bits must contain only 0s and 1s")
     k = constellation.bits_per_symbol
     if b.size % k != 0:
@@ -225,7 +198,7 @@ def map_bits(bits, constellation: Constellation) -> np.ndarray:
             f"bit count {b.size} is not divisible by {k} "
             f"(bits per {constellation.value} symbol)"
         )
-    return _points(b.reshape(-1, k), constellation)
+    return _points(ones.astype(np.int64).reshape(-1, k), constellation)
 
 
 def _points(pairs: np.ndarray, constellation: Constellation) -> np.ndarray:
@@ -256,9 +229,7 @@ def build_frame(params: OfdmParams, seed: int) -> SampleStream:
     bits = rng.integers(0, 2, size=(count, n * k))
     bodies = idft(_points(bits.reshape(-1, k), params.constellation).reshape(count, n) * np.sqrt(n))
     payload_stop = n + count * params.symbol_len
-    buffer = _buffer("frame", (1, payload_stop + n), np.complex128)
-    buffer[:, :n] = 0
-    buffer[:, payload_stop:] = 0
+    buffer = np.zeros((1, payload_stop + n), np.complex128)
     symbols = buffer[0, n:payload_stop].reshape(count, params.symbol_len)
     symbols[:, :cp] = bodies[:, -cp:]
     symbols[:, cp:] = bodies

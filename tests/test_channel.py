@@ -532,6 +532,18 @@ class TestScenarioTypes:
         with pytest.raises(ValueError, match="^snr_db must be a real number, got '10'$"):
             ChannelScenario(snr_db="10")
 
+    @pytest.mark.parametrize("taps", [(0j,), (0, 0), (1e-320,)])
+    def test_channel_scenario_refuses_taps_without_energy(self, taps):
+        # Unchecked, run_monte_carlo failed in its first trial naming no field, or at
+        # snr_db=inf scored an all-zero stream.
+        message = re.escape("cir_taps must have energy sum(|h|^2) > 0, got ")
+        with pytest.raises(ValueError, match=f"^{message}"):
+            ChannelScenario(snr_db=10.0, cir_taps=taps)
+
+    def test_channel_scenario_takes_taps_too_large_to_square(self):
+        # Their energy overflows float64 but is not 0; warnings are errors in this suite.
+        assert ChannelScenario(snr_db=10.0, cir_taps=(1e200,)).cir_taps == (1e200 + 0j,)
+
     def test_channel_scenario_takes_array_taps_and_stays_hashable(self):
         taps = random_cir(10, seed=1)
         from_array = ChannelScenario(snr_db=10.0, cir_taps=taps)

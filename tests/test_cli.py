@@ -381,6 +381,16 @@ class TestConfigFile:
         assert capsys.readouterr().err == "error: config: line 3 is not key=value: 'seed 3'\n"
         assert not (tmp_path / "x.csv").exists()
 
+    def test_non_utf8_config_file_rejected(self, tmp_path, capsys):
+        # Unread, the decode error escaped as a runtime failure: exit 1, no file named.
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"\xff")
+        code = run_cli("trace", "--config", str(config), "--out", str(tmp_path / "t.csv"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config: cannot read {config}: 'utf-8' codec can't decode")
+        assert not (tmp_path / "t.csv").exists()
+
     def test_missing_config_file_rejected(self, tmp_path, capsys):
         code = run_cli("trace", "--config", str(tmp_path / "nope.cfg"),
                        "--out", str(tmp_path / "x.csv"))

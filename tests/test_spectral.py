@@ -97,6 +97,14 @@ def test_empty_and_non_vector_rejected():
                 transform(np.ones(shape))
 
 
+@pytest.mark.parametrize("values", [["1", "2"], [b"1", b"2"]], ids=["str", "bytes"])
+def test_text_rejected(values):
+    # Unchecked, numpy parsed the strings: dft(["1", "2"]) returned [3, -1].
+    for transform, name in ((dft, "x"), (idft, "spectrum")):
+        with pytest.raises(ValueError, match=f"^{name} must be numbers, got "):
+            transform(values)
+
+
 def test_idft_rejects_3d_input():
     with pytest.raises(ValueError, match="must be a 1-D vector"):
         idft(np.ones((2, 2, 4)))

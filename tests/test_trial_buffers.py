@@ -1,4 +1,4 @@
-"""Trial buffers: run_monte_carlo's trials share their sample arrays, public calls own theirs."""
+"""Trial buffers: run_monte_carlo's trials share per-branch arrays, public calls own theirs."""
 
 import sys
 import threading
@@ -23,11 +23,12 @@ from cpsync import (
     run_monte_carlo,
     run_trial,
 )
-from cpsync.txgen import _SCOPE, _trial_buffers
+from cpsync.channel import _SCOPE, _trial_buffers
 
 from oracles import tap_major_convolution
 
 PARAMS = OfdmParams(n_subcarriers=64, cp_len=16)
+WIDE = OfdmParams(n_subcarriers=128, cp_len=16)
 
 # Three branches, a fixed CIR, noise and CFO: every buffered stage runs.
 CELL = Scenario(
@@ -59,7 +60,7 @@ def test_calls_outside_a_scope_return_owned_arrays(stage):
     assert not np.shares_memory(first.branches, stream.branches)
 
 
-@pytest.mark.parametrize("stage", STAGES)
+@pytest.mark.parametrize("stage", ["add_awgn", "apply_cfo"])
 def test_calls_inside_a_scope_reuse_one_array_and_write_all_of_it(stage):
     call, stream = STAGES[stage], _noisy(1)
     want = call(2, stream).branches.tobytes()
@@ -69,6 +70,15 @@ def test_calls_inside_a_scope_reuse_one_array_and_write_all_of_it(stage):
         second = call(2, stream)
         assert np.shares_memory(first.branches, second.branches)
         assert second.branches.tobytes() == want
+
+
+# These run before replicate_branches, so their arrays are one row whatever rx_branches is.
+@pytest.mark.parametrize("stage", ["build_frame", "apply_cir"])
+def test_single_row_stages_allocate_inside_a_scope(stage):
+    call, stream = STAGES[stage], _noisy(1)
+    with _trial_buffers():
+        first, second = call(1, stream), call(2, stream)
+        assert not np.shares_memory(first.branches, second.branches)
 
 
 def test_reused_frame_keeps_zero_guards():
@@ -92,22 +102,24 @@ def test_reused_cir_output_is_zero_outside_the_support():
 
 
 def test_a_new_shape_gets_a_new_array():
-    wide = OfdmParams(n_subcarriers=128, cp_len=16)
+    narrow, wide = _noisy(1), replicate_branches(build_frame(WIDE, 1), 2)
+    want = add_awgn(wide, 3.0, 1).branches.tobytes()
     with _trial_buffers():
-        small = build_frame(PARAMS, 1)
-        large = build_frame(wide, 1)
+        small = add_awgn(narrow, 3.0, 1)
+        large = add_awgn(wide, 3.0, 1)
         assert not np.shares_memory(small.branches, large.branches)
-        assert large.branches.tobytes() == build_frame(wide, 1).branches.tobytes()
-        assert np.shares_memory(build_frame(wide, 2).branches, large.branches)
+        assert large.branches.tobytes() == want
+        assert np.shares_memory(add_awgn(wide, 3.0, 2).branches, large.branches)
 
 
 def test_scope_restores_the_outer_scope():
+    stream = _noisy(1)  # a shape that CELL's trials do not have
     with _trial_buffers():
         outer = _SCOPE.buffers
-        frame = build_frame(PARAMS, 1)
+        noisy = add_awgn(stream, 3.0, 1)
         run_monte_carlo(CELL, 2, 0)
         assert _SCOPE.buffers is outer
-        assert np.shares_memory(build_frame(PARAMS, 2).branches, frame.branches)
+        assert np.shares_memory(add_awgn(stream, 3.0, 2).branches, noisy.branches)
     assert _SCOPE.buffers is None
 
 
@@ -126,7 +138,7 @@ def test_run_monte_carlo_releases_its_buffers(monkeypatch):
     with pytest.raises(RuntimeError, match="trial failed"):
         run_monte_carlo(CELL, 3, 0)
     assert _SCOPE.buffers is None
-    assert seen[0] == {} and {"frame", "cir", "awgn", "cfo"} <= seen[1].keys()
+    assert seen[0] == {} and seen[1].keys() == {"awgn draws", "awgn", "cfo"}
 
 
 def test_run_monte_carlo_equals_a_manual_trial_loop(monkeypatch):

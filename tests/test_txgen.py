@@ -81,6 +81,26 @@ class TestMapBits:
         with pytest.raises(ValueError, match="0s and 1s"):
             map_bits([0, 2], Constellation.QPSK)
 
+    @pytest.mark.parametrize(
+        "bits", [["0", "1"], [b"0", b"1"], "01", b"01"],
+        ids=["str-list", "bytes-list", "str", "bytes"],
+    )
+    def test_text_bits_rejected(self, bits):
+        # Unchecked, numpy parsed each string as a bit.
+        with pytest.raises(ValueError, match="^bits must be numbers, got "):
+            map_bits(bits, Constellation.QPSK)
+
+    @pytest.mark.parametrize("bits", [[0.5, 1.0], [1.9, 1.0], [1.0, 1 + 1j]])
+    def test_non_binary_values_rejected_before_the_cast(self, bits):
+        # Cast first, 0.5 and 1.9 were truncated to the bits 0 and 1.
+        with pytest.raises(ValueError, match="^bits must contain only 0s and 1s$"):
+            map_bits(bits, Constellation.QPSK)
+
+    def test_integer_beyond_64_bits_rejected(self):
+        # Cast first, it raised a bare OverflowError naming no argument.
+        with pytest.raises(ValueError, match="^bits must be numbers, got "):
+            map_bits([2**70, 1], Constellation.QPSK)
+
     def test_constellation_must_be_a_member(self):
         # Unchecked, the string failed with a bare AttributeError naming no argument.
         with pytest.raises(ValueError, match="^constellation must be a Constellation, got 'qpsk'$"):
@@ -285,6 +305,14 @@ class TestSampleStreamValidation:
             stream = SampleStream(frame, kind(64), payload_start=kind(64), payload_stop=kind(100))
             for value in (stream.sample_origin, stream.payload_start, stream.payload_stop):
                 assert type(value) is int
+
+    @pytest.mark.parametrize(
+        "branches", [[["1", "2", "3j", "4"]], [[b"1", b"2"]]], ids=["str", "bytes"]
+    )
+    def test_text_branches_rejected(self, branches):
+        # Unchecked, numpy parsed the strings as the samples 1, 2, 3j and 4.
+        with pytest.raises(ValueError, match="^branches must be numbers, got "):
+            SampleStream(branches, 0)
 
     @pytest.mark.parametrize("shape", [(8,), (1, 2, 8)], ids=["1-D", "3-D"])
     def test_branches_must_be_two_dimensional(self, shape):
