@@ -1,4 +1,5 @@
-"""Channel impairments: timing offset, multipath convolution, AWGN, CFO rotation.
+"""Channel impairments (timing offset, multipath convolution, AWGN, CFO rotation)
+and the frequency response of a tap vector.
 
 All impairments are pure, seed-deterministic transforms that return a
 SampleStream, valid by construction and not re-checked: a new one, except
@@ -33,6 +34,7 @@ __all__ = [
     "apply_sto",
     "apply_cir",
     "random_cir",
+    "freq_response",
     "add_awgn",
     "apply_cfo",
 ]
@@ -206,6 +208,28 @@ def random_cir(n_taps: int, seed: int, normalize: bool = False) -> np.ndarray:
     if _instance("normalize", normalize, bool):
         taps /= np.sqrt(np.sum(np.abs(taps) ** 2))
     return taps
+
+
+def freq_response(taps, n_points: int) -> list[tuple[int, float, float]]:
+    """Frequency response of a tap vector on an n_points-bin grid.
+
+    Returns (bin index, magnitude in dB, phase in radians) per bin, phase
+    wrapped to (-pi, pi]. An exact-zero bin reports -inf dB; an overflowing one raises ValueError.
+    """
+    h = _checked_taps(taps, "taps")
+    n_points = _integer("n_points", n_points)
+    if n_points < h.size:
+        raise ValueError(f"n_points={n_points} smaller than tap count {h.size}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        response = np.fft.fft(h, n_points)  # numpy zero-pads h to n_points
+        magnitude = np.abs(response)
+    if not np.isfinite(magnitude).all():
+        raise ValueError("freq_response output overflows float64")
+    with np.errstate(divide="ignore"):
+        magnitude_db = 20.0 * np.log10(magnitude)
+    phase = np.angle(response)
+    phase[phase == -np.pi] = np.pi
+    return [(k, float(magnitude_db[k]), float(phase[k])) for k in range(n_points)]
 
 
 class _Scope(threading.local):

@@ -21,7 +21,7 @@ import argparse
 import csv
 import sys
 
-from .channel import CIR_FIXTURE
+from .channel import CIR_FIXTURE, freq_response
 from .harness import (
     ALL_METHODS,
     DEFAULT_STO_VALUES,
@@ -31,7 +31,6 @@ from .harness import (
     Scenario,
     _grid,
     derive_seed,
-    freq_response,
     run_monte_carlo,
     run_trial,
 )
@@ -62,7 +61,8 @@ def _parse_list(text: str, convert, fieldname: str, kind: str) -> tuple:
 def _load_config(path: str) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        # utf-8-sig reads away the byte-order mark some editors write first.
+        with open(path, encoding="utf-8-sig") as handle:
             for lineno, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):

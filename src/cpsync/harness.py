@@ -30,7 +30,6 @@ import numpy as np
 from .channel import (
     CIR_FIXTURE,
     ChannelScenario,
-    _checked_taps,
     _trial_buffers,
     add_awgn,
     apply_cfo,
@@ -40,7 +39,7 @@ from .channel import (
     replicate_branches,
 )
 from .sync import Method, MetricTrace, check_search_offset, default_config, estimate_sto
-from .txgen import OfdmParams, _instance, _integer, build_frame
+from .txgen import OfdmParams, _instance, _integer, _numbers, build_frame
 
 __all__ = [
     "ALL_METHODS",
@@ -53,7 +52,6 @@ __all__ = [
     "reference_scenarios",
     "run_trial",
     "run_monte_carlo",
-    "freq_response",
 ]
 
 ALL_METHODS: tuple[Method, ...] = tuple(Method)
@@ -178,10 +176,13 @@ class MethodStats:
 
     @classmethod
     def from_errors(cls, errors: np.ndarray) -> "MethodStats":
-        errors = np.asarray(errors, dtype=np.int64)
+        errors = _numbers("errors", errors)
         n = errors.size
-        if n == 0:
+        if n == 0:  # checked first: an empty list reads as float64
             raise ValueError("errors must hold at least one trial's error")
+        if errors.dtype.kind not in "iu":
+            raise ValueError(f"errors must be integers, got {errors.dtype} values")
+        # Any integer width: tolist yields Python ints, so the sums below cannot wrap.
         uniques, counts = np.unique(errors, return_counts=True)
         hist = dict(zip(uniques.tolist(), counts.tolist()))
         # Every field is an exact integer sum over the histogram divided by n;
@@ -279,27 +280,3 @@ def run_monte_carlo(scenario: Scenario, n_trials: int, master_seed: int) -> Scen
         n_trials=n_trials,
         methods={m: MethodStats.from_errors(np.array(e)) for m, e in errors.items()},
     )
-
-
-def freq_response(taps, n_points: int) -> list[tuple[int, float, float]]:
-    """Frequency response of a tap vector on an n_points-bin grid.
-
-    Returns (bin index, magnitude in dB, phase in radians) per bin, phase
-    wrapped to (-pi, pi]. An exact-zero bin reports -inf dB; an overflowing one raises ValueError.
-    """
-    h = _checked_taps(taps, "taps")
-    n_points = _integer("n_points", n_points)
-    if n_points < h.size:
-        raise ValueError(f"n_points={n_points} smaller than tap count {h.size}")
-    padded = np.zeros(n_points, dtype=np.complex128)
-    padded[: h.size] = h
-    with np.errstate(over="ignore", invalid="ignore"):
-        response = np.fft.fft(padded)
-        magnitude = np.abs(response)
-    if not np.isfinite(magnitude).all():
-        raise ValueError("freq_response output overflows float64")
-    with np.errstate(divide="ignore"):
-        magnitude_db = 20.0 * np.log10(magnitude)
-    phase = np.angle(response)
-    phase[phase == -np.pi] = np.pi
-    return [(k, float(magnitude_db[k]), float(phase[k])) for k in range(n_points)]

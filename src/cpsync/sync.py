@@ -240,6 +240,11 @@ def default_config(
     The range is clamped so the full sweep window stays inside the stream's
     buffer; averaging defaults to every symbol in the frame.
     """
+    # Checked before the memo, whose key and arithmetic would otherwise meet them first.
+    _instance("params", params, OfdmParams)
+    _instance("method", method, Method)
+    if symbols_averaged is not None:
+        symbols_averaged = _integer("symbols_averaged", symbols_averaged, 1)
     return _default_config(
         params, stream.buffer_len, stream.sample_origin, method, symbols_averaged
     )

@@ -124,8 +124,10 @@ def _unchecked(cls, **fields):
 class SampleStream:
     """Complex baseband buffer of shape (n_branches, buffer_len), one row per branch.
 
-    A list of equal-length 1-D arrays is accepted and stacked into rows. The
-    rows are stored C-contiguous: an array of any other layout is copied.
+    A list of equal-length 1-D arrays is accepted and stacked into rows. A
+    constructed stream stores its rows C-contiguous, copying an array of any
+    other layout; a derived stream may instead hold a read-only broadcast
+    view, as replicate_branches gives, whose rows share one buffer (row stride 0).
     sample_origin is the receiver's nominal start of symbol 0 (index of its
     first CP sample), in [0, buffer_len). payload_start/payload_stop bound the
     region that actually carries signal (build_frame leaves zeros outside it,

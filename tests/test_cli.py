@@ -391,6 +391,18 @@ class TestConfigFile:
         assert err.startswith(f"error: config: cannot read {config}: 'utf-8' codec can't decode")
         assert not (tmp_path / "t.csv").exists()
 
+    def test_byte_order_mark_is_read_away(self, tmp_path):
+        # Read as plain utf-8, the mark joined the first key: unknown key '\ufeffseed'.
+        outputs = []
+        for name, mark in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+            config = tmp_path / f"{name}.cfg"
+            config.write_bytes(mark + b"seed = 3\n")
+            out = tmp_path / f"{name}.csv"
+            assert run_cli("trace", "--config", str(config), "--out", str(out)) == 0
+            outputs.append(out.read_bytes())
+        assert b"seed=3" in outputs[0]
+        assert outputs[1] == outputs[0]
+
     def test_missing_config_file_rejected(self, tmp_path, capsys):
         code = run_cli("trace", "--config", str(tmp_path / "nope.cfg"),
                        "--out", str(tmp_path / "x.csv"))

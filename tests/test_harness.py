@@ -385,6 +385,19 @@ class TestMethodStats:
         with pytest.raises(ValueError, match="at least one"):
             MethodStats.from_errors(np.array([], dtype=np.int64))
 
+    def test_errors_must_be_integers(self):
+        # A cast to int64 read [1.5, 2.7] as {1: 1, 2: 1}, bools as 1 and 0 and "1" as 1.
+        for errors, message in (
+            ([1.5, 2.7], "errors must be integers, got float64 values"),
+            ([True, False], "errors must be integers, got bool values"),
+            (["1"], "errors must be numbers, got ['1']"),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                MethodStats.from_errors(errors)
+        stats = MethodStats.from_errors(np.array([0, 1, -1, 5], dtype=np.int8))
+        assert stats == MethodStats.from_errors(np.array([0, 1, -1, 5]))
+        assert all(type(key) is int for key in stats.error_histogram)
+
     @pytest.mark.parametrize("n", [1, 3, 15, 1000, 100_003])
     def test_fields_equal_np_mean_bit_for_bit(self, n):
         rng = np.random.default_rng(n)

@@ -1,6 +1,7 @@
 """Estimator contracts: noiseless anchors, oracle equivalence, invariances."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -212,6 +213,21 @@ class TestEstimate:
         for method in Method:
             with pytest.raises(ValueError, match=message):
                 default_config(stream, DEFAULT, method)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("symbols_averaged", 4.5, "symbols_averaged must be an integer, got 4.5"),
+        ("symbols_averaged", 5.0, "symbols_averaged must be an integer, got 5.0"),
+        ("symbols_averaged", [2], "symbols_averaged must be an integer, got [2]"),
+        ("method", ["cbm"], "method must be a Method, got ['cbm']"),
+        ("params", "x", "params must be an OfdmParams, got 'x'"),
+    ])
+    def test_default_config_names_a_bad_argument(self, field, value, message):
+        # Unchecked, these met the memo's key or arithmetic first: a message
+        # naming search_max or the stream, a bare TypeError or an AttributeError.
+        stream = build_frame(DEFAULT, seed=45)
+        args = {"params": DEFAULT, "method": Method.CBM, field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            default_config(stream, **args)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_trace_fields_hold_by_construction(self, method):
