@@ -123,6 +123,7 @@ class ChannelScenario:
 
 def replicate_branches(stream: SampleStream, n_branches: int) -> SampleStream:
     """Broadcast a single-branch stream to n_branches identical branches."""
+    _instance("stream", stream, SampleStream)
     if stream.n_branches != 1:
         raise ValueError(f"expected a single-branch stream, got {stream.n_branches}")
     n_branches = _integer("n_branches", n_branches, 1)
@@ -138,6 +139,7 @@ def apply_sto(stream: SampleStream, delta: int) -> SampleStream:
     which is the convention under which the estimators recover delta itself.
     Sample values are untouched; only sample_origin moves.
     """
+    _instance("stream", stream, SampleStream)
     delta = _integer("delta", delta)
     new_origin = stream.sample_origin - delta
     if not 0 <= new_origin < stream.buffer_len:
@@ -180,6 +182,7 @@ def apply_cir(stream: SampleStream, taps) -> SampleStream:
     to within rounding. The bits hold for one numpy build and CPU: numpy
     dispatches its complex multiply to a SIMD kernel chosen at run time.
     """
+    _instance("stream", stream, SampleStream)
     h = _checked_taps(taps, "cir taps")
     x = stream.branches
     out = np.zeros(x.shape, np.complex128)
@@ -278,6 +281,7 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
     is drawn independently per branch from one seeded generator: one
     (n_branches, 2, buffer_len) draw, real then imaginary part per branch.
     """
+    _instance("stream", stream, SampleStream)
     snr_db = _check_snr_db(snr_db)
     seed = _integer("seed", seed, 0)
     if snr_db == math.inf:
@@ -302,6 +306,7 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
 
 def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
     """Rotate sample m by exp(j*2*pi*epsilon*m/n_fft) on every branch."""
+    _instance("stream", stream, SampleStream)
     epsilon = _check_epsilon(epsilon)
     n_fft = _integer("n_fft", n_fft, 1)
     ramp = _cfo_ramp(stream.buffer_len, epsilon, n_fft, math.copysign(1.0, epsilon))

@@ -180,6 +180,8 @@ class MethodStats:
         n = errors.size
         if n == 0:  # checked first: an empty list reads as float64
             raise ValueError("errors must hold at least one trial's error")
+        if errors.ndim != 1:
+            raise ValueError(f"errors must be 1-D, one error per trial, got shape {errors.shape}")
         if errors.dtype.kind not in "iu":
             raise ValueError(f"errors must be integers, got {errors.dtype} values")
         # Any integer width: tolist yields Python ints, so the sums below cannot wrap.
@@ -237,6 +239,7 @@ def reference_scenarios(methods: tuple[Method, ...] = ALL_METHODS) -> list[Scena
 
 def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
     """Execute the full pipeline once, deterministically for the given seed."""
+    _instance("scenario", scenario, Scenario)
     ofdm = scenario.ofdm
     check_search_offset("true_sto", true_sto, ofdm)
     seed = _integer("seed", seed)
@@ -265,6 +268,7 @@ def run_monte_carlo(scenario: Scenario, n_trials: int, master_seed: int) -> Scen
     The trials write their noisy and rotated streams into one set of buffers
     (channel._trial_buffers), which is released when the call returns or raises.
     """
+    _instance("scenario", scenario, Scenario)
     n_trials = _integer("n_trials", n_trials, 1)
     master_seed = _integer("master_seed", master_seed)
     errors: dict[Method, list[int]] = {m: [] for m in scenario.methods}

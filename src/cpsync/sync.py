@@ -42,12 +42,11 @@ Ties are broken toward the smallest |d|, then the smaller d.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .txgen import OfdmParams, SampleStream, _instance, _integer
+from .txgen import OfdmParams, SampleStream, _instance, _integer, _unchecked
 
 __all__ = [
     "Method",
@@ -191,6 +190,8 @@ def estimate_sto(stream: SampleStream, cfg: EstimatorConfig) -> MetricTrace:
     The sliding evaluation is numerically equivalent to an independent
     per-candidate summation (guarded by tests against a brute-force oracle).
     """
+    _instance("stream", stream, SampleStream)
+    _instance("cfg", cfg, EstimatorConfig)
     _check_window(stream, cfg)
     series = _accumulated_pair_series(stream, cfg)
     # series holds span >= cp_len entries, so every window lies inside it;
@@ -238,44 +239,33 @@ def default_config(
     """Estimator configuration with the default search range of +-2*cp_len.
 
     The range is clamped so the full sweep window stays inside the stream's
-    buffer; averaging defaults to every symbol in the frame.
+    buffer; averaging defaults to every symbol in the frame. The arguments
+    are checked on every call, and the config is then built without
+    EstimatorConfig's checks, which it meets by construction: every field is
+    a checked Python int or Method, search_min = max(-2*cp_len, -n) <= 0, and
+    a stream too short for search_max >= 0 is refused.
     """
-    # Checked before the memo, whose key and arithmetic would otherwise meet them first.
+    _instance("stream", stream, SampleStream)
     _instance("params", params, OfdmParams)
     _instance("method", method, Method)
-    if symbols_averaged is not None:
+    if symbols_averaged is None:
+        symbols_averaged = params.symbols_per_frame
+    else:
         symbols_averaged = _integer("symbols_averaged", symbols_averaged, 1)
-    return _default_config(
-        params, stream.buffer_len, stream.sample_origin, method, symbols_averaged
-    )
-
-
-@functools.lru_cache(maxsize=256)
-def _default_config(
-    params: OfdmParams,
-    buffer_len: int,
-    n: int,
-    method: Method,
-    symbols_averaged: int | None,
-) -> EstimatorConfig:
-    """default_config for one method, built once per window and memoised.
-
-    The window depends only on these arguments, and the config is frozen,
-    so every trial of a cell shares one validated config per method.
-    """
-    averaged = params.symbols_per_frame if symbols_averaged is None else symbols_averaged
+    n = stream.sample_origin
     half = _search_half_width(params)
-    lowest, highest = _search_limits(buffer_len, n, params.symbol_len, averaged)
+    lowest, highest = _search_limits(stream.buffer_len, n, params.symbol_len, symbols_averaged)
     # lowest is -n <= 0, so only the top of the window can miss 0.
     search_max = min(half, highest)
     if search_max < 0:
         raise ValueError(f"stream too short for any search window around sample_origin={n}")
-    return EstimatorConfig(
+    return _unchecked(
+        EstimatorConfig,
         method=method,
         search_min=max(-half, lowest),
         search_max=search_max,
         n=n,
         n_fft=params.n_subcarriers,
         cp_len=params.cp_len,
-        symbols_averaged=averaged,
+        symbols_averaged=symbols_averaged,
     )

@@ -224,6 +224,7 @@ def build_frame(params: OfdmParams, seed: int) -> SampleStream:
     same bits as one draw per symbol in turn, and one inverse transform of
     the stacked spectra.
     """
+    _instance("params", params, OfdmParams)
     rng = np.random.default_rng(_integer("seed", seed, 0))
     n, cp, count = params.n_subcarriers, params.cp_len, params.symbols_per_frame
     k = params.constellation.bits_per_symbol

@@ -486,6 +486,23 @@ class TestImpairmentsArePubliclyValid:
         )
 
 
+@pytest.mark.parametrize(
+    "impair",
+    [
+        lambda s: replicate_branches(s, 4),
+        lambda s: apply_sto(s, -3),
+        lambda s: apply_cir(s, CIR_FIXTURE),
+        lambda s: add_awgn(s, 2.0, seed=31),
+        lambda s: apply_cfo(s, 0.2, n_fft=128),
+    ],
+    ids=["replicate_branches", "apply_sto", "apply_cir", "add_awgn", "apply_cfo"],
+)
+def test_impairments_refuse_a_stream_of_another_type(impair):
+    # Unchecked, each raised a bare AttributeError that named no field.
+    with pytest.raises(ValueError, match=r"^stream must be a SampleStream, got 'x'$"):
+        impair("x")
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestOverflowIsNamed:
     """Stages whose arithmetic can overflow finite samples say so."""

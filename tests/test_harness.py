@@ -272,6 +272,18 @@ class TestScenarioFields:
 
 
 class TestRunTrial:
+    @pytest.mark.parametrize(
+        "run",
+        [lambda s: run_trial(s, 3, seed=1), lambda s: run_monte_carlo(s, 1, master_seed=0)],
+        ids=["run_trial", "run_monte_carlo"],
+    )
+    @pytest.mark.parametrize("scenario", ["x", NOISELESS.ofdm], ids=["str", "ofdm-params"])
+    def test_scenario_must_be_a_scenario(self, run, scenario):
+        # Unchecked, each raised a bare AttributeError that named no field.
+        message = f"scenario must be a Scenario, got {scenario!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run(scenario)
+
     def test_noiseless_recovery(self):
         result = run_trial(NOISELESS, 3, seed=42)
         assert result.estimates[Method.CBM] == 3
@@ -397,6 +409,14 @@ class TestMethodStats:
         stats = MethodStats.from_errors(np.array([0, 1, -1, 5], dtype=np.int8))
         assert stats == MethodStats.from_errors(np.array([0, 1, -1, 5]))
         assert all(type(key) is int for key in stats.error_histogram)
+
+    @pytest.mark.parametrize("errors", [[[1, 2], [3, 4]], [[0]], 5], ids=["2x2", "1x1", "0-d"])
+    def test_errors_must_be_one_dimensional(self, errors):
+        # Unchecked, np.unique flattened [[1, 2], [3, 4]] into four trials, and 5 read as one.
+        shape = np.shape(errors)
+        message = f"errors must be 1-D, one error per trial, got shape {shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            MethodStats.from_errors(np.array(errors))
 
     @pytest.mark.parametrize("n", [1, 3, 15, 1000, 100_003])
     def test_fields_equal_np_mean_bit_for_bit(self, n):

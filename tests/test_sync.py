@@ -46,6 +46,39 @@ def _value_at(stream, cfg, delta):
     return float(trace.values[np.flatnonzero(trace.offsets == delta)[0]])
 
 
+class TestDefaultConfigBuild:
+    """default_config skips EstimatorConfig's checks; its configs must pass them unchanged."""
+
+    INTEGER_FIELDS = ("search_min", "search_max", "n", "n_fft", "cp_len", "symbols_averaged")
+
+    @pytest.mark.parametrize("n_fft, cp, symbols", [
+        (4, 1, 1), (4, 3, 3), (32, 8, 2), (128, 32, 4), (128, 16, 6), (1024, 72, 2),
+    ])
+    def test_equals_the_checked_constructor(self, n_fft, cp, symbols):
+        params = OfdmParams(n_fft, cp, symbols_per_frame=symbols)
+        frame = build_frame(params, seed=46)
+        limit = min(2 * params.cp_len, params.n_subcarriers - 1)
+        for sto in range(-limit, limit + 1):
+            stream = apply_sto(frame, check_search_offset("sto", sto, params))
+            n = stream.sample_origin
+            for averaged in (None, 1, params.symbols_per_frame):
+                count = params.symbols_per_frame if averaged is None else averaged
+                reach = stream.buffer_len - n - count * params.symbol_len
+                for method in Method:
+                    cfg = default_config(stream, params, method, averaged)
+                    assert cfg == EstimatorConfig(
+                        method=method,
+                        search_min=max(-2 * params.cp_len, -n),
+                        search_max=min(2 * params.cp_len, reach),
+                        n=n,
+                        n_fft=params.n_subcarriers,
+                        cp_len=params.cp_len,
+                        symbols_averaged=count,
+                    )
+                    for name in self.INTEGER_FIELDS:
+                        assert type(getattr(cfg, name)) is int, name
+
+
 class TestConfigValidation:
     def test_search_range_must_contain_zero(self):
         with pytest.raises(ValueError, match="contain 0"):
@@ -228,6 +261,19 @@ class TestEstimate:
         args = {"params": DEFAULT, "method": Method.CBM, field: value}
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             default_config(stream, **args)
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda s, c: default_config("x", DEFAULT, Method.CBM),
+         "stream must be a SampleStream, got 'x'"),
+        (lambda s, c: estimate_sto("x", c), "stream must be a SampleStream, got 'x'"),
+        (lambda s, c: estimate_sto(s, "x"), "cfg must be an EstimatorConfig, got 'x'"),
+    ], ids=["default_config-stream", "estimate_sto-stream", "estimate_sto-cfg"])
+    def test_object_arguments_must_have_their_type(self, call, message):
+        # Unchecked, each raised a bare AttributeError that named no field.
+        stream = build_frame(DEFAULT, seed=45)
+        cfg = default_config(stream, DEFAULT, Method.CBM)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(stream, cfg)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_trace_fields_hold_by_construction(self, method):

@@ -187,6 +187,13 @@ class TestBuildFrame:
             assert stream.n_branches == 1
             assert np.array_equal(stream.branches[0], _per_symbol_frame(params, seed))
 
+    @pytest.mark.parametrize("params", ["x", (128, 32), None], ids=["str", "tuple", "None"])
+    def test_params_must_be_ofdm_params(self, params):
+        # Unchecked, each raised a bare AttributeError that named no field.
+        message = f"params must be an OfdmParams, got {params!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_frame(params, seed=1)
+
     def test_layout_arithmetic(self):
         params = OfdmParams(n_subcarriers=128, cp_len=32, symbols_per_frame=2)
         stream = build_frame(params, seed=1)
