@@ -199,47 +199,47 @@ def cmd_fixture(ns: argparse.Namespace) -> int:
     return 0
 
 
+# Every flag once, in --help order, with the subcommands that take it and its
+# argparse keywords; build_parser and the --config check both read it.
+_CSV = {"trace", "sweep", "response"}  # the subcommands that write a CSV file
+_CELLS = {"trace", "sweep"}  # the subcommands that run grid cells
+_FLAGS = {
+    "--out": (_CSV, dict(help="output CSV path")),
+    "--config": (_CSV, dict(help="key=value defaults file")),
+    "--seed": (_CELLS, dict(type=int, default=0, help="master seed (default %(default)s)")),
+    "--snr-db": (_CELLS, dict(type=float)),
+    "--cp": (_CELLS, dict(type=int, help="cyclic-prefix length")),
+    "--channel": (_CELLS, dict(choices=_CHANNELS)),
+    "--sto": (_CELLS, dict(help="true offset(s), comma-separated")),
+    "--method": (_CELLS, dict(default="all", choices=_METHODS)),
+    "--n": (_CELLS, dict(type=int, default=_REFERENCE_N, help="IDFT size (default %(default)s)")),
+    "--trials": (
+        {"sweep"}, dict(type=int, default=100, help="trials per cell (default %(default)s)")
+    ),
+    "--points": ({"response"}, dict(type=int, default=256, help="bin count (default %(default)s)")),
+    "--taps": ({"response"}, dict(help="comma-separated complex taps")),
+}
+# Each subcommand's help line and handler, in --help order.
+_COMMANDS = {
+    "trace": ("metric trace of one seeded realization", cmd_trace),
+    "sweep": ("Monte Carlo hit-rate table over the scenario grid", cmd_sweep),
+    "response": ("frequency response of a tap vector", cmd_response),
+    "fixture": ("print the canned 10-tap CIR", cmd_fixture),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cpsync",
         description="Cyclic-prefix OFDM timing-offset estimation runs, emitted as CSV.",
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *, selectors: bool) -> None:
-        p.add_argument("--out", type=str, default=None, help="output CSV path")
-        p.add_argument("--config", type=str, default=None, help="key=value defaults file")
-        if selectors:
-            p.add_argument("--seed", type=int, default=0, help="master seed (default %(default)s)")
-            p.add_argument("--snr-db", dest="snr_db", type=float, default=None)
-            p.add_argument("--cp", type=int, default=None, help="cyclic-prefix length")
-            p.add_argument("--channel", type=str, default=None, choices=_CHANNELS)
-            p.add_argument("--sto", type=str, default=None, help="true offset(s), comma-separated")
-            p.add_argument("--method", type=str, default="all", choices=_METHODS)
-            p.add_argument(
-                "--n", type=int, default=_REFERENCE_N, help="IDFT size (default %(default)s)"
-            )
-
-    p_trace = sub.add_parser("trace", help="metric trace of one seeded realization")
-    add_common(p_trace, selectors=True)
-    p_trace.set_defaults(func=cmd_trace)
-
-    p_sweep = sub.add_parser("sweep", help="Monte Carlo hit-rate table over the scenario grid")
-    add_common(p_sweep, selectors=True)
-    p_sweep.add_argument(
-        "--trials", type=int, default=100, help="trials per cell (default %(default)s)"
-    )
-    p_sweep.set_defaults(func=cmd_sweep)
-
-    p_resp = sub.add_parser("response", help="frequency response of a tap vector")
-    add_common(p_resp, selectors=False)
-    p_resp.add_argument("--points", type=int, default=256, help="bin count (default %(default)s)")
-    p_resp.add_argument("--taps", type=str, default=None, help="comma-separated complex taps")
-    p_resp.set_defaults(func=cmd_response)
-
-    p_fix = sub.add_parser("fixture", help="print the canned 10-tap CIR")
-    p_fix.set_defaults(func=cmd_fixture)
-
+    for name, (summary, handler) in _COMMANDS.items():
+        command = sub.add_parser(name, help=summary)
+        for flag, (takers, keywords) in _FLAGS.items():
+            if name in takers:
+                command.add_argument(flag, **keywords)
+        command.set_defaults(func=handler, command=command)
     return parser
 
 
@@ -258,17 +258,15 @@ def _parse_args(argv) -> argparse.Namespace:
     if not getattr(ns, "config", None):
         return ns
     values = _load_config(ns.config)
-    (commands,) = [action.choices for action in parser._actions if action.dest == "subcommand"]
-    known = {a.dest for p in commands.values() for a in p._actions} - {"help", "config"}
-    unknown = [key for key in values if key not in known]
+    flags = {flag[2:].replace("-", "_"): (flag, takers) for flag, (takers, _) in _FLAGS.items()}
+    del flags["config"]  # a config file cannot name another
+    unknown = [key for key in values if key not in flags]
     if unknown:
         raise ValidationError(f"config: unknown key {unknown[0]!r}")
-    command = commands[ns.subcommand]
-    flags = {a.dest: a.option_strings[0] for a in command._actions}
     at = argv.index(ns.subcommand) + 1
-    argv[at:at] = [f"{flags[k]}={v}" for k, v in values.items() if k in flags]
+    argv[at:at] = [f"{flags[k][0]}={v}" for k, v in values.items() if ns.subcommand in flags[k][1]]
     # The flags parsed once already, so an error now comes from a config value.
-    parser.exit_on_error = command.exit_on_error = False
+    parser.exit_on_error = ns.command.exit_on_error = False
     try:
         return parser.parse_args(argv)
     except argparse.ArgumentError as err:

@@ -114,11 +114,6 @@ class MetricTrace:
     values: np.ndarray
     argopt: int
 
-    @property
-    def opt_value(self) -> float:
-        """The metric value at argopt."""
-        return float(self.values[np.searchsorted(self.offsets, self.argopt)])
-
 
 def _search_limits(buffer_len: int, n: int, stride: int, symbols_averaged: int) -> tuple[int, int]:
     """Widest candidate range whose reads, n + d to the last lag block's end, fit the buffer."""
@@ -221,6 +216,7 @@ def check_search_offset(name: str, sto: int, params: OfdmParams) -> int:
     The rule: |sto| <= min(2*cp_len, n_subcarriers - 1), the latter the frame's guard.
     """
     sto = _integer(name, sto)
+    _instance("params", params, OfdmParams)
     limit = min(_search_half_width(params), params.n_subcarriers - 1)
     if abs(sto) > limit:
         raise ValueError(

@@ -221,8 +221,21 @@ class TestResponseCommand:
         assert "overflows" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_seed_is_not_a_response_flag(self, tmp_path):
-        assert run_cli("response", "--seed", "3", "--out", str(tmp_path / "x.csv")) == 2
+    def test_seed_is_not_a_response_flag(self, tmp_path, capsys):
+        # Each flag given to a subcommand that does not take it.
+        out = str(tmp_path / "x.csv")
+        for argv in [
+            ["response", "--seed", "3", "--out", out],
+            ["trace", "--trials", "3", "--out", out],
+            ["trace", "--points", "9", "--out", out],
+            ["response", "--sto", "3", "--out", out],
+            ["sweep", "--taps", "1", "--out", out],
+            ["sweep", "--points", "9", "--out", out],
+            ["fixture", "--out", "x"],
+        ]:
+            assert run_cli(*argv) == 2, argv
+            assert f"unrecognized arguments: {' '.join(argv[1:3])}" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 class TestValidationAndExitCodes:
@@ -459,3 +472,11 @@ class TestConfigFile:
         assert run_cli("trace", "--config", str(config), "--out", str(out)) == 0
         comments, _ = read_csv(out)
         assert any("true_sto=3" in c for c in comments)
+        # Nor is a value checked that only another subcommand would read.
+        for argv, text in [
+            (["trace"], "trials = many\ntaps = x\n"),
+            (["response"], "seed = x\nmethod = bogus\nsto = q\n"),
+            (["sweep", "--trials", "1"], "points = many\ntaps = x\n"),
+        ]:
+            config.write_text(text)
+            assert run_cli(*argv, "--config", str(config), "--out", str(out)) == 0, (argv, text)

@@ -220,7 +220,8 @@ class TestEstimate:
         assert trace.offsets[0] == cfg.search_min
         assert trace.offsets[-1] == cfg.search_max
         idx = int(np.nonzero(trace.offsets == trace.argopt)[0][0])
-        assert trace.values[idx] == trace.opt_value
+        optimum = trace.values.max() if cfg.method.maximizes else trace.values.min()
+        assert trace.values[idx] == optimum
 
     def test_default_config_uses_whole_frame(self):
         stream = build_frame(DEFAULT, seed=45)
@@ -267,7 +268,9 @@ class TestEstimate:
          "stream must be a SampleStream, got 'x'"),
         (lambda s, c: estimate_sto("x", c), "stream must be a SampleStream, got 'x'"),
         (lambda s, c: estimate_sto(s, "x"), "cfg must be an EstimatorConfig, got 'x'"),
-    ], ids=["default_config-stream", "estimate_sto-stream", "estimate_sto-cfg"])
+        (lambda s, c: check_search_offset("sto", 3, "x"), "params must be an OfdmParams, got 'x'"),
+    ], ids=["default_config-stream", "estimate_sto-stream", "estimate_sto-cfg",
+            "check_search_offset-params"])
     def test_object_arguments_must_have_their_type(self, call, message):
         # Unchecked, each raised a bare AttributeError that named no field.
         stream = build_frame(DEFAULT, seed=45)
@@ -295,7 +298,8 @@ class TestEstimate:
             assert trace.values.shape == trace.offsets.shape
             assert np.isfinite(trace.values).all()
             assert (trace.values >= 0).all()
-            assert trace.values[trace.offsets == trace.argopt].tolist() == [trace.opt_value]
+            optimum = trace.values.max() if method.maximizes else trace.values.min()
+            assert trace.values[trace.offsets == trace.argopt].tolist() == [optimum]
 
     def test_single_symbol_averaging(self):
         stream = _noiseless(DEFAULT, 3, seed=46)
@@ -602,4 +606,5 @@ def test_trace_invariants_on_arbitrary_streams(method, seed):
     assert trace.offsets.size == 21
     assert np.all(np.isfinite(trace.values))
     assert np.all(trace.values >= 0)
-    assert trace.values[int(np.nonzero(trace.offsets == trace.argopt)[0][0])] == trace.opt_value
+    optimum = trace.values.max() if method.maximizes else trace.values.min()
+    assert trace.values[int(np.nonzero(trace.offsets == trace.argopt)[0][0])] == optimum
