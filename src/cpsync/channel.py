@@ -17,9 +17,9 @@ multipath convolution, so runs across channel types compare at equal receiver SN
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -235,13 +235,9 @@ def freq_response(taps, n_points: int) -> list[tuple[int, float, float]]:
     return [(k, float(magnitude_db[k]), float(phase[k])) for k in range(n_points)]
 
 
-class _Scope(threading.local):
-    """Each thread's trial buffers: a name -> array dict inside _trial_buffers, else None."""
-
-    buffers: dict | None = None
-
-
-_SCOPE = _Scope()
+# Each thread's trial buffers, as a thread starts in a context of its own: a
+# name -> array dict inside _trial_buffers, else None.
+_BUFFERS: contextvars.ContextVar[dict | None] = contextvars.ContextVar("_BUFFERS", default=None)
 
 
 @contextlib.contextmanager
@@ -251,12 +247,11 @@ def _trial_buffers():
     The arrays are dropped on exit, and any outer scope is restored. A stream
     built inside the scope lives only until a later stage writes the same name.
     """
-    outer = _SCOPE.buffers
-    _SCOPE.buffers = {}
+    token = _BUFFERS.set({})
     try:
         yield
     finally:
-        _SCOPE.buffers = outer
+        _BUFFERS.reset(token)
 
 
 def _buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
@@ -264,7 +259,7 @@ def _buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
 
     Each name is used with one dtype, so only the shape is compared.
     """
-    buffers = _SCOPE.buffers
+    buffers = _BUFFERS.get()
     if buffers is None:
         return np.empty(shape, dtype)
     array = buffers.get(name)

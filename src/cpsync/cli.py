@@ -76,13 +76,6 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _out_path(ns: argparse.Namespace) -> str:
-    """Check --out, which every CSV subcommand takes, and return it."""
-    if ns.out is None:
-        raise ValidationError("out: an output path is required")
-    return ns.out
-
-
 def _cells(ns: argparse.Namespace, single: bool) -> list[Scenario]:
     """The grid cells the selector flags pick, validated, in output row order.
 
@@ -120,9 +113,8 @@ def _write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def cmd_trace(ns: argparse.Namespace) -> int:
+def cmd_trace(ns: argparse.Namespace) -> tuple[list[str], list[str], list]:
     (scenario,) = _cells(ns, single=True)
-    out_path = _out_path(ns)
     if len(scenario.sto_values) != 1:
         raise ValidationError("sto: trace takes exactly one offset")
     methods = scenario.methods
@@ -141,15 +133,13 @@ def cmd_trace(ns: argparse.Namespace) -> int:
         [int(offset)] + [float(trace.values[idx]) for trace in traces]
         for idx, offset in enumerate(traces[0].offsets)
     ]
-    _write_csv(out_path, comments, header, rows)
-    return 0
+    return comments, header, rows
 
 
-def cmd_sweep(ns: argparse.Namespace) -> int:
+def cmd_sweep(ns: argparse.Namespace) -> tuple[list[str], list[str], list]:
     cells = _cells(ns, single=False)
     if ns.trials < 1:
         raise ValidationError(f"trials: must be >= 1, got {ns.trials}")
-    out_path = _out_path(ns)
     comments = [
         f"seed={ns.seed} trials={ns.trials} n={ns.n}",
         f"sto_values={','.join(str(s) for s in cells[0].sto_values)}",
@@ -170,11 +160,10 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
                     *(getattr(m, stat) for stat in _SWEEP_STATS),
                 ]
             )
-    _write_csv(out_path, comments, header, rows)
-    return 0
+    return comments, header, rows
 
 
-def cmd_response(ns: argparse.Namespace) -> int:
+def cmd_response(ns: argparse.Namespace) -> tuple[list[str], list[str], list]:
     taps = CIR_FIXTURE
     if ns.taps is not None:
         taps = _parse_list(ns.taps, complex, "taps", "complex values")
@@ -182,15 +171,13 @@ def cmd_response(ns: argparse.Namespace) -> int:
         records = freq_response(taps, ns.points)
     except ValueError as err:  # the message names taps or n_points
         raise ValidationError(str(err)) from None
-    out_path = _out_path(ns)
     comments = [f"taps={len(taps)} points={ns.points}"]
     header = ["frequency", "magnitude_db", "phase_rad"]
     rows = [
         [float(k) / ns.points, magnitude_db, phase_rad]
         for k, magnitude_db, phase_rad in records
     ]
-    _write_csv(out_path, comments, header, rows)
-    return 0
+    return comments, header, rows
 
 
 def cmd_fixture(ns: argparse.Namespace) -> int:
@@ -219,7 +206,8 @@ _FLAGS = {
     "--points": ({"response"}, dict(type=int, default=256, help="bin count (default %(default)s)")),
     "--taps": ({"response"}, dict(help="comma-separated complex taps")),
 }
-# Each subcommand's help line and handler, in --help order.
+# Each subcommand's help line and handler, in --help order. A _CSV handler
+# returns the (comments, header, rows) that main writes to --out.
 _COMMANDS = {
     "trace": ("metric trace of one seeded realization", cmd_trace),
     "sweep": ("Monte Carlo hit-rate table over the scenario grid", cmd_sweep),
@@ -276,7 +264,12 @@ def _parse_args(argv) -> argparse.Namespace:
 def main(argv=None) -> int:
     try:
         ns = _parse_args(argv)
-        return ns.func(ns)
+        if ns.subcommand not in _CSV:
+            return ns.func(ns)
+        if ns.out is None:  # checked once --config, which may supply it, is merged
+            raise ValidationError("out: an output path is required")
+        _write_csv(ns.out, *ns.func(ns))
+        return 0
     except SystemExit as exc:
         return int(exc.code or 0)
     except ValidationError as err:

@@ -160,6 +160,27 @@ class TestSweepCommand:
         _, rows = read_csv(out)
         assert rows[0]["channel"] == "rayleigh-random"
 
+    def test_a_cells_rows_do_not_depend_on_the_grid(self, tmp_path):
+        # Each cell's trials are seeded by its label, so a sweep of one cell
+        # writes the rows that the full grid writes for it.
+        args = ["sweep", "--trials", "20", "--seed", "17"]
+        assert run_cli(*args, "--out", str(tmp_path / "grid.csv")) == 0
+        _, grid = read_csv(tmp_path / "grid.csv")
+        for i, cell in enumerate(reference_scenarios()):
+            out = tmp_path / f"cell{i}.csv"
+            assert run_cli(
+                *args, f"--snr-db={cell.channel.snr_db}", "--cp", str(cell.ofdm.cp_len),
+                "--channel", cell.channel_mode, "--out", str(out),
+            ) == 0
+            _, rows = read_csv(out)
+            assert rows == grid[3 * i : 3 * i + 3]
+
+    def test_negative_first_offset_attached_with_equals(self, tmp_path):
+        out = tmp_path / "sweep.csv"
+        assert run_cli("sweep", "--trials", "2", "--sto=-3,3", "--out", str(out)) == 0
+        comments, _ = read_csv(out)
+        assert "# sto_values=-3,3" in comments
+
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", "--trials", "3", "--snr-db", "2", "--cp", "16", "--seed", "21"]
@@ -260,9 +281,21 @@ class TestValidationAndExitCodes:
         assert code == 2
         assert "trials" in capsys.readouterr().err
 
-    def test_missing_out_rejected(self, capsys):
-        assert run_cli("trace") == 2
-        assert "out" in capsys.readouterr().err
+    def test_missing_out_rejected(self, tmp_path, monkeypatch, capsys):
+        # --out is checked before any work, so it is reported ahead of a bad value.
+        def no_run_monte_carlo(*args):
+            raise AssertionError("sweep ran a cell without --out")
+
+        monkeypatch.setattr(cli, "run_monte_carlo", no_run_monte_carlo)
+        monkeypatch.chdir(tmp_path)
+        for args in (
+            ["trace"], ["sweep"], ["response"], ["trace", "--cp", "300"],
+            ["sweep", "--trials", "0"], ["response", "--points", "2"],
+            ["trace", "--seed", str(2**130)],
+        ):
+            assert run_cli(*args) == 2
+            assert "out: an output path is required" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == []
 
     def test_unwritable_path_is_runtime_failure(self, capsys):
         code = run_cli("trace", "--sto", "1", "--out", "/nonexistent-dir/x.csv")

@@ -23,7 +23,7 @@ from cpsync import (
     run_monte_carlo,
     run_trial,
 )
-from cpsync.channel import _SCOPE, _trial_buffers
+from cpsync.channel import _BUFFERS, _trial_buffers
 
 from oracles import tap_major_convolution
 
@@ -115,29 +115,29 @@ def test_a_new_shape_gets_a_new_array():
 def test_scope_restores_the_outer_scope():
     stream = _noisy(1)  # a shape that CELL's trials do not have
     with _trial_buffers():
-        outer = _SCOPE.buffers
+        outer = _BUFFERS.get()
         noisy = add_awgn(stream, 3.0, 1)
         run_monte_carlo(CELL, 2, 0)
-        assert _SCOPE.buffers is outer
+        assert _BUFFERS.get() is outer
         assert np.shares_memory(add_awgn(stream, 3.0, 2).branches, noisy.branches)
-    assert _SCOPE.buffers is None
+    assert _BUFFERS.get() is None
 
 
 def test_run_monte_carlo_releases_its_buffers(monkeypatch):
     seen = []
 
     def trial(*args):
-        seen.append(dict(_SCOPE.buffers))
+        seen.append(dict(_BUFFERS.get()))
         if len(seen) == 2:
             raise RuntimeError("trial failed")
         return run_trial(*args)
 
     run_monte_carlo(CELL, 3, 0)
-    assert _SCOPE.buffers is None
+    assert _BUFFERS.get() is None
     monkeypatch.setattr(harness, "run_trial", trial)
     with pytest.raises(RuntimeError, match="trial failed"):
         run_monte_carlo(CELL, 3, 0)
-    assert _SCOPE.buffers is None
+    assert _BUFFERS.get() is None
     assert seen[0] == {} and seen[1].keys() == {"awgn draws", "awgn", "cfo"}
 
 
