@@ -19,7 +19,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
+from collections.abc import Iterator
 
 from .channel import CIR_FIXTURE, freq_response
 from .harness import (
@@ -105,7 +107,23 @@ def _cells(ns: argparse.Namespace, single: bool) -> list[Scenario]:
 
 
 def _write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    """Write the table to path, which is opened for append before rows runs.
+
+    rows may be a lazy sweep, so an unwritable path fails before any trial.
+    Rows that raise leave an existing file's bytes as they were and remove a
+    file this call created.
+    """
+    created = not os.path.exists(path)
+    open(path, "a", encoding="utf-8").close()
+    try:
+        rows = list(rows)
+    except BaseException:
+        if created:
+            os.remove(path)
+        raise
+    # Append to the empty file this call created: truncating it would make ext4
+    # start writing it back to disk on close (auto_da_alloc).
+    with open(path, "a" if created else "w", encoding="utf-8", newline="") as handle:
         for comment in comments:
             handle.write(f"# {comment}\n")
         writer = csv.writer(handle, lineterminator="\n")
@@ -136,7 +154,8 @@ def cmd_trace(ns: argparse.Namespace) -> tuple[list[str], list[str], list]:
     return comments, header, rows
 
 
-def cmd_sweep(ns: argparse.Namespace) -> tuple[list[str], list[str], list]:
+def cmd_sweep(ns: argparse.Namespace) -> tuple[list[str], list[str], Iterator[list]]:
+    """The sweep's table; its rows run the trials lazily, once the flags have passed."""
     cells = _cells(ns, single=False)
     if ns.trials < 1:
         raise ValidationError(f"trials: must be >= 1, got {ns.trials}")
@@ -145,13 +164,13 @@ def cmd_sweep(ns: argparse.Namespace) -> tuple[list[str], list[str], list]:
         f"sto_values={','.join(str(s) for s in cells[0].sto_values)}",
     ]
     header = ["snr_db", "cp_len", "channel", "method", "n_trials", *_SWEEP_STATS]
-    rows = []
-    for scenario in cells:
-        stats = run_monte_carlo(scenario, ns.trials, ns.seed)
-        for method in scenario.methods:
-            m = stats.methods[method]
-            rows.append(
-                [
+
+    def rows() -> Iterator[list]:
+        for scenario in cells:
+            stats = run_monte_carlo(scenario, ns.trials, ns.seed)
+            for method in scenario.methods:
+                m = stats.methods[method]
+                yield [
                     scenario.channel.snr_db,
                     scenario.ofdm.cp_len,
                     scenario.channel_mode,
@@ -159,8 +178,8 @@ def cmd_sweep(ns: argparse.Namespace) -> tuple[list[str], list[str], list]:
                     ns.trials,
                     *(getattr(m, stat) for stat in _SWEEP_STATS),
                 ]
-            )
-    return comments, header, rows
+
+    return comments, header, rows()
 
 
 def cmd_response(ns: argparse.Namespace) -> tuple[list[str], list[str], list]:

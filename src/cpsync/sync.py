@@ -64,7 +64,23 @@ class Method(enum.Enum):
 
     @property
     def maximizes(self) -> bool:
-        return self is Method.CBM
+        return _RULES[self][2]
+
+
+def _conj_product(lead: np.ndarray, lag: np.ndarray) -> np.ndarray:
+    # out=: numpy's temporary elision would swap the operands and change last bits.
+    return np.multiply(lead, np.conj(lag), out=np.empty(lead.shape, dtype=np.complex128))
+
+
+# Each method once, as (term, finish, maximizes): the per-index term of a lead
+# block and its lag-n_fft partner, the finish that turns a candidate's window
+# sum into its value, and whether the arg max wins. A DBM value is the sum
+# itself, a sum of squares and so already >= 0.
+_RULES = {
+    Method.CBM: (_conj_product, np.abs, True),
+    Method.DBM_MAGNITUDE: (lambda lead, lag: (np.abs(lead) - np.abs(lag)) ** 2, lambda s: s, False),
+    Method.DBM_LITERAL: (lambda lead, lag: np.abs(lead - np.conj(lag)) ** 2, lambda s: s, False),
+}
 
 
 @dataclass(frozen=True)
@@ -153,15 +169,8 @@ def _accumulated_pair_series(stream: SampleStream, cfg: EstimatorConfig) -> np.n
         (cfg.n + cfg.search_min) * step,
         (row_step, cfg.stride * step, cfg.n_fft * step, step),
     )
-    lead, lag = pairs[:, :, 0], pairs[:, :, 1]
-    if cfg.method is Method.CBM:
-        # out=: numpy's temporary elision would swap the operands and change last bits.
-        term = np.multiply(lead, np.conj(lag), out=np.empty(lead.shape, dtype=np.complex128))
-    elif cfg.method is Method.DBM_LITERAL:
-        term = np.abs(lead - np.conj(lag)) ** 2
-    else:
-        term = (np.abs(lead) - np.abs(lag)) ** 2
-    rows = term.reshape(-1, span)
+    term, _, _ = _RULES[cfg.method]
+    rows = term(pairs[:, :, 0], pairs[:, :, 1]).reshape(-1, span)
     if span == 1:
         # One entry per row leaves one contiguous column, which reduce would sum
         # pairwise and so change the last bits; accumulate adds row after row.
@@ -194,16 +203,14 @@ def estimate_sto(stream: SampleStream, cfg: EstimatorConfig) -> MetricTrace:
     step = series.itemsize
     width = series.size - cfg.cp_len + 1
     windows = np.ndarray((width, cfg.cp_len), series.dtype, series, 0, (step, step)).sum(axis=1)
-    if cfg.method is Method.CBM:
-        values = np.abs(windows)
-    else:
-        values = windows  # sums of squared differences, already >= 0
+    _, finish, maximizes = _RULES[cfg.method]
+    values = finish(windows)
     if not np.isfinite(values).all():
         raise ValueError(
             f"{cfg.method.value} metric values are not finite: the stream's sums overflow"
         )
     offsets = cfg.offsets
-    return MetricTrace(offsets, values, _argopt(offsets, values, cfg.method.maximizes))
+    return MetricTrace(offsets, values, _argopt(offsets, values, maximizes))
 
 
 def _search_half_width(params: OfdmParams) -> int:

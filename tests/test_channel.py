@@ -23,7 +23,7 @@ from cpsync import (
 )
 from cpsync.channel import _cfo_ramp
 
-from oracles import tap_major_convolution
+from oracles import direct_dft, tap_major_convolution
 
 # Regression constant: energy of the frozen 10-tap fixture, computed once by
 # direct summation over the printed coefficients.
@@ -681,3 +681,72 @@ class TestRealValueRule:
             ChannelScenario(snr_db=-300.5)
         with pytest.raises(ValueError, match="^epsilon must be finite, got -inf$"):
             CfoParams(-math.inf)
+
+
+class TestFreqResponse:
+    def test_unit_tap_is_allpass(self):
+        for _, magnitude_db, phase_rad in freq_response([1.0], 16):
+            assert magnitude_db == pytest.approx(0.0, abs=1e-12)
+            assert phase_rad == pytest.approx(0.0, abs=1e-12)
+
+    def test_pure_delay_phase_ramp(self):
+        n_points = 32
+        records = freq_response([0.0, 1.0], n_points)
+        for k, magnitude_db, phase_rad in records:
+            assert magnitude_db == pytest.approx(0.0, abs=1e-10)
+            expected = -2.0 * np.pi * k / n_points
+            wrapped = (expected + np.pi) % (2.0 * np.pi) - np.pi
+            if wrapped == -np.pi:
+                wrapped = np.pi
+            assert phase_rad == pytest.approx(wrapped, abs=1e-9)
+
+    def test_phase_range_half_open(self):
+        records = freq_response([0.0, 1.0], 32)
+        phases = np.array([p for _, _, p in records])
+        assert np.all(phases > -np.pi)
+        assert np.all(phases <= np.pi)
+
+    def test_fixture_matches_direct_oracle(self):
+        n_points = 256
+        padded = np.zeros(n_points, dtype=complex)
+        padded[: len(CIR_FIXTURE)] = CIR_FIXTURE
+        oracle = direct_dft(padded)
+        records = freq_response(CIR_FIXTURE, n_points)
+        got_mag = np.array([m for _, m, _ in records])
+        got_phase = np.array([p for _, _, p in records])
+        want_mag = 20.0 * np.log10(np.abs(oracle))
+        want_phase = np.angle(oracle)
+        want_phase[want_phase == -np.pi] = np.pi
+        np.testing.assert_allclose(got_mag, want_mag, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(got_phase, want_phase, rtol=1e-9, atol=1e-12)
+
+    def test_too_few_points_rejected(self):
+        with pytest.raises(ValueError, match="n_points"):
+            freq_response(CIR_FIXTURE, 9)
+        with pytest.raises(ValueError, match="^n_points must be an integer, got 256.0"):
+            freq_response(CIR_FIXTURE, 256.0)
+        for kind in (np.int8, np.int64, np.uint64):
+            bins = [k for k, _, _ in freq_response(CIR_FIXTURE, kind(10))]
+            assert bins == list(range(10)) and all(type(k) is int for k in bins)
+        with pytest.raises(ValueError, match="at least one"):
+            freq_response([], 8)
+
+    def test_non_finite_taps_rejected(self):
+        with pytest.raises(ValueError, match="taps"):
+            freq_response([np.nan], 4)
+
+    def test_string_taps_rejected(self):
+        # Unchecked, "12" was read as the one tap 12+0j: 21.58 dB in every bin.
+        with pytest.raises(ValueError, match="^taps must be numbers, got '12'$"):
+            freq_response("12", 4)
+
+    # [1e308, 1e308] overflows inside the DFT; 1.5e308(1+j) is finite, but its magnitude is not.
+    @pytest.mark.parametrize("taps", [[1e308, 1e308], [1.5e308 + 1.5e308j]])
+    def test_overflowed_bins_rejected(self, taps):
+        with pytest.raises(ValueError, match="overflows float64"):
+            freq_response(taps, 10)
+
+    def test_exact_zero_bin_reports_minus_inf_db(self):
+        (_, dc_db, _), (_, nyquist_db, _) = freq_response([1.0, 1.0], 2)
+        assert dc_db == pytest.approx(20.0 * math.log10(2.0))
+        assert nyquist_db == -math.inf

@@ -302,6 +302,39 @@ class TestValidationAndExitCodes:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unwritable_path_fails_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        # The path is opened before the sweep's rows run; a bad value still comes first.
+        calls = []
+        monkeypatch.setattr(cli, "run_monte_carlo", lambda *args: calls.append(args))
+        out = str(tmp_path / "missing" / "x.csv")
+        assert run_cli("sweep", "--trials", "100000", "--out", out) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert run_cli("sweep", "--cp", "300", "--out", out) == 2
+        assert "cp_len" in capsys.readouterr().err
+        assert calls == []
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_sweep_leaves_files_as_they_were(self, tmp_path, monkeypatch, capsys):
+        real_run = cli.run_monte_carlo
+        cells = []
+
+        def fail_on_second_cell(scenario, *args):
+            cells.append(scenario)
+            if len(cells) == 2:
+                raise ValueError("simulated failure")
+            return real_run(scenario, *args)
+
+        monkeypatch.setattr(cli, "run_monte_carlo", fail_on_second_cell)
+        existing = tmp_path / "existing.csv"
+        existing.write_bytes(b"# earlier table\nx\n1\n")
+        for out in (existing, tmp_path / "new.csv"):
+            cells.clear()
+            assert run_cli("sweep", "--trials", "1", "--out", str(out)) == 1
+            assert "simulated failure" in capsys.readouterr().err
+            assert len(cells) == 2
+        assert existing.read_bytes() == b"# earlier table\nx\n1\n"
+        assert list(tmp_path.iterdir()) == [existing]
+
     def test_no_subcommand_is_usage_error(self):
         assert run_cli() == 2
 
@@ -404,6 +437,15 @@ class TestConfigFile:
                 "--channel", "awgn", "--out", str(out_flag))
         comments, _ = read_csv(out_flag)
         assert any("true_sto=3" in c for c in comments)
+
+    def test_config_may_supply_out_and_the_flag_wins(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        Path("run.cfg").write_text("out = a.csv\n")
+        assert run_cli("trace", "--config", "run.cfg", "--out", "b.csv") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["b.csv", "run.cfg"]
+        assert run_cli("trace", "--config", "run.cfg") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv", "run.cfg"]
+        assert Path("a.csv").read_bytes() == Path("b.csv").read_bytes()
 
     def test_unknown_config_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
