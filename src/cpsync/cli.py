@@ -50,14 +50,24 @@ class ValidationError(Exception):
     """Bad selector or configuration value; message names the field."""
 
 
-def _parse_list(text: str, convert, fieldname: str, kind: str) -> tuple:
-    try:
-        values = tuple(convert(part.strip()) for part in text.split(",") if part.strip())
-    except ValueError:
-        values = ()
-    if not values:
-        raise ValidationError(f"{fieldname}: expected comma-separated {kind}, got {text!r}")
-    return values
+def _listed(convert, field: str, kind: str):
+    """The argparse type= of a flag that takes one or more comma-separated values.
+
+    convert raises ValueError or KeyError on a bad value. A malformed list
+    raises ValidationError, which argparse passes on unhandled, so the
+    message names the field rather than the flag.
+    """
+
+    def parse(text: str) -> tuple:
+        try:
+            values = tuple(convert(part.strip()) for part in text.split(",") if part.strip())
+        except (KeyError, ValueError):
+            values = ()
+        if not values:
+            raise ValidationError(f"{field}: expected comma-separated {kind}, got {text!r}")
+        return values
+
+    return parse
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -81,27 +91,20 @@ def _load_config(path: str) -> dict[str, str]:
 def _cells(ns: argparse.Namespace, single: bool) -> list[Scenario]:
     """The grid cells the selector flags pick, validated, in output row order.
 
-    An unset axis takes its reference values, or only the first of them when
-    a single cell is wanted.
+    An unset selector takes its reference values. A single cell takes the
+    first of them, and refuses more than one value per selector.
     """
     try:  # derive_seed owns the master seed's range
         derive_seed(ns.seed)
     except ValueError as err:
         raise ValidationError(f"seed: {err}") from None
-
-    def axis(name, reference):
-        value = getattr(ns, name)
-        if value is not None:
-            return (value,)
-        return reference[:1] if single else reference
-
-    axes = {name: axis(name, reference) for name, reference in _REFERENCE_AXES.items()}
-    if ns.sto is None:
-        sto_values = DEFAULT_STO_VALUES[:1] if single else DEFAULT_STO_VALUES
-    else:
-        sto_values = _parse_list(ns.sto, int, "sto", "integers")
+    axes = {}
+    for name, reference in {**_REFERENCE_AXES, "sto": DEFAULT_STO_VALUES}.items():
+        axes[name] = getattr(ns, name) or reference[: 1 if single else None]
+        if single and len(axes[name]) > 1:
+            raise ValidationError(f"{name}: trace takes exactly one value, got {len(axes[name])}")
     try:
-        return _grid(ns.n, _METHODS[ns.method], sto_values, **axes)
+        return _grid(ns.n, _METHODS[ns.method], axes.pop("sto"), **axes)
     except ValueError as err:  # the owning constructor names the field
         raise ValidationError(str(err)) from None
 
@@ -133,8 +136,6 @@ def _write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
 
 def cmd_trace(ns: argparse.Namespace) -> tuple[list[str], list[str], list]:
     (scenario,) = _cells(ns, single=True)
-    if len(scenario.sto_values) != 1:
-        raise ValidationError("sto: trace takes exactly one offset")
     methods = scenario.methods
     true_sto = scenario.sto_values[0]
     result = run_trial(scenario, true_sto, ns.seed)
@@ -183,14 +184,11 @@ def cmd_sweep(ns: argparse.Namespace) -> tuple[list[str], list[str], Iterator[li
 
 
 def cmd_response(ns: argparse.Namespace) -> tuple[list[str], list[str], list]:
-    taps = CIR_FIXTURE
-    if ns.taps is not None:
-        taps = _parse_list(ns.taps, complex, "taps", "complex values")
     try:
-        records = freq_response(taps, ns.points)
+        records = freq_response(ns.taps, ns.points)
     except ValueError as err:  # the message names taps or n_points
         raise ValidationError(str(err)) from None
-    comments = [f"taps={len(taps)} points={ns.points}"]
+    comments = [f"taps={len(ns.taps)} points={ns.points}"]
     header = ["frequency", "magnitude_db", "phase_rad"]
     rows = [
         [float(k) / ns.points, magnitude_db, phase_rad]
@@ -209,21 +207,27 @@ def cmd_fixture(ns: argparse.Namespace) -> int:
 # argparse keywords; build_parser and the --config check both read it.
 _CSV = {"trace", "sweep", "response"}  # the subcommands that write a CSV file
 _CELLS = {"trace", "sweep"}  # the subcommands that run grid cells
+_MODES = "{" + ",".join(_CHANNELS) + "}"  # --channel's metavar, and the modes its error lists
 _FLAGS = {
     "--out": (_CSV, dict(help="output CSV path")),
     "--config": (_CSV, dict(help="key=value defaults file")),
     "--seed": (_CELLS, dict(type=int, default=0, help="master seed (default %(default)s)")),
-    "--snr-db": (_CELLS, dict(type=float)),
-    "--cp": (_CELLS, dict(type=int, help="cyclic-prefix length")),
-    "--channel": (_CELLS, dict(choices=_CHANNELS)),
-    "--sto": (_CELLS, dict(help="true offset(s), comma-separated")),
+    "--snr-db": (_CELLS, dict(type=_listed(float, "snr_db", "numbers"),
+                              help="SNR(s) in dB, comma-separated")),
+    "--cp": (_CELLS, dict(type=_listed(int, "cp", "integers"),
+                          help="cyclic-prefix length(s), comma-separated")),
+    "--channel": (_CELLS, dict(metavar=_MODES, help="mode(s), comma-separated", type=_listed(
+        dict(zip(_CHANNELS, _CHANNELS)).__getitem__, "channel", f"modes of {_MODES}"))),
+    "--sto": (_CELLS, dict(type=_listed(int, "sto", "integers"),
+                           help="true offset(s), comma-separated")),
     "--method": (_CELLS, dict(default="all", choices=_METHODS)),
     "--n": (_CELLS, dict(type=int, default=_REFERENCE_N, help="IDFT size (default %(default)s)")),
     "--trials": (
         {"sweep"}, dict(type=int, default=100, help="trials per cell (default %(default)s)")
     ),
     "--points": ({"response"}, dict(type=int, default=256, help="bin count (default %(default)s)")),
-    "--taps": ({"response"}, dict(help="comma-separated complex taps")),
+    "--taps": ({"response"}, dict(type=_listed(complex, "taps", "complex values"),
+                                  default=CIR_FIXTURE, help="comma-separated complex taps")),
 }
 # Each subcommand's help line and handler, in --help order. A _CSV handler
 # returns the (comments, header, rows) that main writes to --out.
@@ -276,7 +280,7 @@ def _parse_args(argv) -> argparse.Namespace:
     parser.exit_on_error = ns.command.exit_on_error = False
     try:
         return parser.parse_args(argv)
-    except argparse.ArgumentError as err:
+    except (argparse.ArgumentError, ValidationError) as err:
         raise ValidationError(f"config: {err}") from None
 
 

@@ -215,21 +215,25 @@ def _grid(
     cp: tuple[int, ...],
     channel: tuple[str, ...],
 ) -> list[Scenario]:
-    """Grid cells over the given axes in row order: SNR-major, then CP, then channel."""
-    cells = []
+    """Grid cells over the given axes in row order: SNR-major, then CP, then channel.
+
+    A label seeds every trial of its cell, so two cells may not share one.
+    """
+    cells = {}
     for snr, cp_len, mode in itertools.product(snr_db, cp, channel):
         tag, taps, fresh = _CHANNELS[mode]
-        cells.append(
-            Scenario(
-                label=f"snr{snr:g}_cp{cp_len}_{tag}",
-                ofdm=OfdmParams(n_subcarriers=n_fft, cp_len=cp_len),
-                channel=ChannelScenario(snr_db=snr, cir_taps=taps),
-                methods=methods,
-                sto_values=sto_values,
-                fresh_cir_per_trial=fresh,
-            )
+        label = f"snr{snr:g}_cp{cp_len}_{tag}"
+        if label in cells:
+            raise ValueError(f"grid: two cells have the label {label!r}, which seeds their trials")
+        cells[label] = Scenario(
+            label=label,
+            ofdm=OfdmParams(n_subcarriers=n_fft, cp_len=cp_len),
+            channel=ChannelScenario(snr_db=snr, cir_taps=taps),
+            methods=methods,
+            sto_values=sto_values,
+            fresh_cir_per_trial=fresh,
         )
-    return cells
+    return list(cells.values())
 
 
 def reference_scenarios(methods: tuple[Method, ...] = ALL_METHODS) -> list[Scenario]:

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import io
+import itertools
 import re
 from pathlib import Path
 
@@ -97,10 +98,17 @@ class TestTraceCommand:
         first = dataclasses.replace(reference_scenarios()[0], sto_values=(3,))
         assert calls == [(first, 3)]
 
-    def test_trace_requires_single_sto(self, tmp_path, capsys):
-        code = run_cli("trace", "--sto", "3,-3", "--out", str(tmp_path / "x.csv"))
-        assert code == 2
-        assert "sto" in capsys.readouterr().err
+    @pytest.mark.parametrize("argv,field", [
+        (["--snr-db", "2,10"], "snr_db"),
+        (["--cp", "16,32"], "cp"),
+        (["--channel", "awgn,rayleigh-fixture"], "channel"),
+        (["--sto", "3,-3"], "sto"),
+    ], ids=["snr_db", "cp", "channel", "sto"])
+    def test_trace_takes_one_value_per_selector(self, tmp_path, capsys, argv, field):
+        out = tmp_path / "x.csv"
+        assert run_cli("trace", *argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == f"error: {field}: trace takes exactly one value, got 2\n"
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -160,17 +168,24 @@ class TestSweepCommand:
         _, rows = read_csv(out)
         assert rows[0]["channel"] == "rayleigh-random"
 
-    def test_a_cells_rows_do_not_depend_on_the_grid(self, tmp_path):
+    @pytest.mark.parametrize("selectors,cells", [
+        ([], [(cell.channel.snr_db, cell.ofdm.cp_len, cell.channel_mode)
+              for cell in reference_scenarios()]),
+        (["--snr-db=0,30", "--cp", "8,32", "--channel", "awgn,rayleigh-random"],
+         list(itertools.product((0.0, 30.0), (8, 32), ("awgn", "rayleigh-random")))),
+    ], ids=["reference", "lists"])
+    def test_a_cells_rows_do_not_depend_on_the_grid(self, tmp_path, selectors, cells):
         # Each cell's trials are seeded by its label, so a sweep of one cell
-        # writes the rows that the full grid writes for it.
+        # writes the rows that the grid writes for it, SNR-major, then CP, then channel.
         args = ["sweep", "--trials", "20", "--seed", "17"]
-        assert run_cli(*args, "--out", str(tmp_path / "grid.csv")) == 0
+        assert run_cli(*args, *selectors, "--out", str(tmp_path / "grid.csv")) == 0
         _, grid = read_csv(tmp_path / "grid.csv")
-        for i, cell in enumerate(reference_scenarios()):
+        assert len(grid) == 3 * len(cells)
+        for i, (snr_db, cp_len, mode) in enumerate(cells):
             out = tmp_path / f"cell{i}.csv"
             assert run_cli(
-                *args, f"--snr-db={cell.channel.snr_db}", "--cp", str(cell.ofdm.cp_len),
-                "--channel", cell.channel_mode, "--out", str(out),
+                *args, f"--snr-db={snr_db}", "--cp", str(cp_len),
+                "--channel", mode, "--out", str(out),
             ) == 0
             _, rows = read_csv(out)
             assert rows == grid[3 * i : 3 * i + 3]
@@ -275,6 +290,18 @@ class TestValidationAndExitCodes:
     def test_bad_channel_choice(self, tmp_path):
         code = run_cli("trace", "--channel", "ricean", "--out", str(tmp_path / "x.csv"))
         assert code == 2
+
+    # A label seeds every trial of its cell, so a repeated cell would run its
+    # trials twice, and two SNRs that print alike would share their seeds.
+    @pytest.mark.parametrize("argv,label", [
+        (["--cp", "16,16"], "snr10_cp16_awgn"),
+        (["--snr-db", "10,10.0000001"], "snr10_cp32_awgn"),
+    ], ids=["cp", "snr_db"])
+    def test_repeated_cell_rejected(self, tmp_path, capsys, argv, label):
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", *argv, "--trials", "1", "--out", str(out)) == 2
+        assert f"two cells have the label {label!r}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_zero_trials_rejected(self, tmp_path, capsys):
         code = run_cli("sweep", "--trials", "0", "--out", str(tmp_path / "x.csv"))
@@ -503,6 +530,8 @@ class TestConfigFile:
         ("trace", {"snr-db": "2", "cp": "16", "channel": "rayleigh-random", "sto": "-3",
                    "method": "all", "n": "128", "seed": "11"}),
         ("response", {"taps": "1,0.5-0.25j", "points": "32"}),
+        ("sweep", {"trials": "2", "snr-db": "2,10", "cp": "8,16",
+                   "channel": "awgn,rayleigh-fixture"}),
     ])
     def test_config_matches_flags_byte_for_byte(self, tmp_path, subcommand, values):
         config = tmp_path / "run.cfg"
@@ -519,6 +548,8 @@ class TestConfigFile:
         ("response", "points"),
         ("trace", "channel"),
         ("sweep", "method"),
+        ("trace", "sto"),
+        ("response", "taps"),
     ])
     def test_non_numeric_config_value_names_config_and_key(self, tmp_path, capsys,
                                                            subcommand, key):
