@@ -1,17 +1,17 @@
 """Channel impairments (timing offset, multipath convolution, AWGN, CFO rotation)
 and the frequency response of a tap vector.
 
-All impairments are pure, seed-deterministic transforms that return a
-SampleStream, valid by construction and not re-checked: a new one, except
-that add_awgn at snr_db=+inf returns its input. Input buffers are never
-mutated. apply_cir writes a fresh array. add_awgn and apply_cfo, which run
-after replicate_branches and so write one row per receive branch, take their
-arrays from _buffer: a fresh array that the caller owns, except inside
-run_monte_carlo's trial-buffer scope (_trial_buffers), where a stage writes
-the same array every trial. apply_cir, add_awgn and apply_cfo name the
-overflow their arithmetic can cause. SNR is defined per received sample (Es/N0) against the
-measured payload power of the stream the noise is added to, i.e. after any
-multipath convolution, so runs across channel types compare at equal receiver SNR.
+All impairments are pure, seed-deterministic transforms that return a SampleStream,
+valid by construction and not re-checked: a new one, except that add_awgn at
+snr_db=+inf returns its input. Input buffers are never mutated. apply_cir writes a
+fresh array. add_awgn and apply_cfo, which run after replicate_branches and so write
+one row per receive branch, take their arrays from _buffer: a fresh array that the
+caller owns, except inside run_monte_carlo's trial-buffer scope (_trial_buffers),
+where a stage writes the same array every trial. apply_cir, add_awgn, apply_cfo and
+freq_response name the overflow their arithmetic can cause, with no numpy warning
+first. SNR is defined per received sample (Es/N0) against the measured payload power
+of the stream the noise is added to, i.e. after any multipath convolution, so runs
+across channel types compare at equal receiver SNR.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txgen import SampleStream, _instance, _integer, _numbers, _real
+from .txgen import SampleStream, _instance, _integer, _names_overflow, _numbers, _real
 
 __all__ = [
     "CIR_FIXTURE",
@@ -166,6 +166,7 @@ def _checked_taps(taps, name: str) -> np.ndarray:
     return h
 
 
+@_names_overflow
 def apply_cir(stream: SampleStream, taps) -> SampleStream:
     """Per-branch linear convolution with the channel impulse response.
 
@@ -190,10 +191,8 @@ def apply_cir(stream: SampleStream, taps) -> SampleStream:
     support = np.flatnonzero(x.any(axis=0))
     if support.size:
         lo, hi = int(support[0]), min(int(support[-1]) + h.size, stream.buffer_len)
-        # An overflow is named by the check below, not warned about per tap.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(min(h.size, hi - lo)):
-                out[:, lo + k : hi] += h[k] * x[:, lo : hi - k]
+        for k in range(min(h.size, hi - lo)):
+            out[:, lo + k : hi] += h[k] * x[:, lo : hi - k]
         if not np.isfinite(out[:, lo:hi]).all():
             raise ValueError("apply_cir output is non-finite: the convolution overflows float64")
     return stream._derive(branches=out)
@@ -213,6 +212,7 @@ def random_cir(n_taps: int, seed: int, normalize: bool = False) -> np.ndarray:
     return taps
 
 
+@_names_overflow
 def freq_response(taps, n_points: int) -> list[tuple[int, float, float]]:
     """Frequency response of a tap vector on an n_points-bin grid.
 
@@ -223,9 +223,8 @@ def freq_response(taps, n_points: int) -> list[tuple[int, float, float]]:
     n_points = _integer("n_points", n_points)
     if n_points < h.size:
         raise ValueError(f"n_points={n_points} smaller than tap count {h.size}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        response = np.fft.fft(h, n_points)  # numpy zero-pads h to n_points
-        magnitude = np.abs(response)
+    response = np.fft.fft(h, n_points)  # numpy zero-pads h to n_points
+    magnitude = np.abs(response)
     if not np.isfinite(magnitude).all():
         raise ValueError("freq_response output overflows float64")
     with np.errstate(divide="ignore"):
@@ -268,6 +267,7 @@ def _buffer(name: str, shape: tuple[int, ...], dtype) -> np.ndarray:
     return array
 
 
+@_names_overflow
 def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
     """Add circular complex Gaussian noise sized against measured payload power.
 
@@ -310,13 +310,13 @@ def apply_cfo(stream: SampleStream, epsilon: float, n_fft: int) -> SampleStream:
 
 
 @functools.lru_cache(maxsize=32)
+@_names_overflow
 def _cfo_ramp(buffer_len: int, epsilon: float, n_fft: int, sign: float) -> np.ndarray:
     """apply_cfo's read-only ramp, memoised for a cell's trials; sign keys -0.0 apart from 0.0.
 
     A ramp whose phase overflows is refused, and lru_cache keeps no call that raised.
     """
-    with np.errstate(over="ignore", invalid="ignore"):  # named below, not warned about
-        phase = np.exp(2j * np.pi * epsilon * np.arange(buffer_len) / n_fft)
+    phase = np.exp(2j * np.pi * epsilon * np.arange(buffer_len) / n_fft)
     if not np.isfinite(phase).all():
         raise ValueError(
             f"epsilon={epsilon!s} makes the phase ramp non-finite over {buffer_len} samples"

@@ -50,12 +50,12 @@ class ValidationError(Exception):
     """Bad selector or configuration value; message names the field."""
 
 
-def _listed(convert, field: str, kind: str):
+def _listed(convert, field: str, kind: str, single: bool = False):
     """The argparse type= of a flag that takes one or more comma-separated values.
 
-    convert raises ValueError or KeyError on a bad value. A malformed list
-    raises ValidationError, which argparse passes on unhandled, so the
-    message names the field rather than the flag.
+    convert raises ValueError or KeyError on a bad value. A malformed list, or
+    with single a second value, raises ValidationError, which argparse passes
+    on unhandled, so the message names the field rather than the flag.
     """
 
     def parse(text: str) -> tuple:
@@ -65,9 +65,25 @@ def _listed(convert, field: str, kind: str):
             values = ()
         if not values:
             raise ValidationError(f"{field}: expected comma-separated {kind}, got {text!r}")
+        if single and len(values) > 1:
+            raise ValidationError(f"{field}: trace takes exactly one value, got {len(values)}")
         return values
 
     return parse
+
+
+def _selector(field: str, convert, kind: str, **keywords) -> dict:
+    """A grid selector's keywords per subcommand; unset, its reference values (trace: the first)."""
+    values = {**_REFERENCE_AXES, "sto": DEFAULT_STO_VALUES}[field]
+    return {"sweep": dict(keywords, type=_listed(convert, field, kind), default=values),
+            "trace": dict(keywords, type=_listed(convert, field, kind, True), default=values[:1])}
+
+
+def _snr_db(text: str) -> float:
+    """text as a float; text beyond float64's range, which float reads as +-inf, is refused."""
+    if abs(value := float(text)) > sys.float_info.max and "inf" not in text.lower():
+        raise ValidationError(f"snr_db: {text!r} is beyond float64's range; inf means no noise")
+    return value
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -88,23 +104,14 @@ def _load_config(path: str) -> dict[str, str]:
     return values
 
 
-def _cells(ns: argparse.Namespace, single: bool) -> list[Scenario]:
-    """The grid cells the selector flags pick, validated, in output row order.
-
-    An unset selector takes its reference values. A single cell takes the
-    first of them, and refuses more than one value per selector.
-    """
+def _cells(ns: argparse.Namespace) -> list[Scenario]:
+    """The grid cells the selector flags pick, validated, in output row order."""
     try:  # derive_seed owns the master seed's range
         derive_seed(ns.seed)
     except ValueError as err:
         raise ValidationError(f"seed: {err}") from None
-    axes = {}
-    for name, reference in {**_REFERENCE_AXES, "sto": DEFAULT_STO_VALUES}.items():
-        axes[name] = getattr(ns, name) or reference[: 1 if single else None]
-        if single and len(axes[name]) > 1:
-            raise ValidationError(f"{name}: trace takes exactly one value, got {len(axes[name])}")
     try:
-        return _grid(ns.n, _METHODS[ns.method], axes.pop("sto"), **axes)
+        return _grid(ns.n, _METHODS[ns.method], ns.sto, ns.snr_db, ns.cp, ns.channel)
     except ValueError as err:  # the owning constructor names the field
         raise ValidationError(str(err)) from None
 
@@ -135,7 +142,7 @@ def _write_csv(path: str, comments: list[str], header: list[str], rows) -> None:
 
 
 def cmd_trace(ns: argparse.Namespace) -> tuple[list[str], list[str], list]:
-    (scenario,) = _cells(ns, single=True)
+    (scenario,) = _cells(ns)
     methods = scenario.methods
     true_sto = scenario.sto_values[0]
     result = run_trial(scenario, true_sto, ns.seed)
@@ -157,7 +164,7 @@ def cmd_trace(ns: argparse.Namespace) -> tuple[list[str], list[str], list]:
 
 def cmd_sweep(ns: argparse.Namespace) -> tuple[list[str], list[str], Iterator[list]]:
     """The sweep's table; its rows run the trials lazily, once the flags have passed."""
-    cells = _cells(ns, single=False)
+    cells = _cells(ns)
     if ns.trials < 1:
         raise ValidationError(f"trials: must be >= 1, got {ns.trials}")
     comments = [
@@ -203,31 +210,28 @@ def cmd_fixture(ns: argparse.Namespace) -> int:
     return 0
 
 
-# Every flag once, in --help order, with the subcommands that take it and its
-# argparse keywords; build_parser and the --config check both read it.
+# Every flag once, in --help order, with its argparse keywords in each subcommand
+# that takes it; build_parser and the --config check both read it.
 _CSV = {"trace", "sweep", "response"}  # the subcommands that write a CSV file
 _CELLS = {"trace", "sweep"}  # the subcommands that run grid cells
 _MODES = "{" + ",".join(_CHANNELS) + "}"  # --channel's metavar, and the modes its error lists
+_DEFAULT = "(default %(default)s)"
 _FLAGS = {
-    "--out": (_CSV, dict(help="output CSV path")),
-    "--config": (_CSV, dict(help="key=value defaults file")),
-    "--seed": (_CELLS, dict(type=int, default=0, help="master seed (default %(default)s)")),
-    "--snr-db": (_CELLS, dict(type=_listed(float, "snr_db", "numbers"),
-                              help="SNR(s) in dB, comma-separated")),
-    "--cp": (_CELLS, dict(type=_listed(int, "cp", "integers"),
-                          help="cyclic-prefix length(s), comma-separated")),
-    "--channel": (_CELLS, dict(metavar=_MODES, help="mode(s), comma-separated", type=_listed(
-        dict(zip(_CHANNELS, _CHANNELS)).__getitem__, "channel", f"modes of {_MODES}"))),
-    "--sto": (_CELLS, dict(type=_listed(int, "sto", "integers"),
-                           help="true offset(s), comma-separated")),
-    "--method": (_CELLS, dict(default="all", choices=_METHODS)),
-    "--n": (_CELLS, dict(type=int, default=_REFERENCE_N, help="IDFT size (default %(default)s)")),
-    "--trials": (
-        {"sweep"}, dict(type=int, default=100, help="trials per cell (default %(default)s)")
-    ),
-    "--points": ({"response"}, dict(type=int, default=256, help="bin count (default %(default)s)")),
-    "--taps": ({"response"}, dict(type=_listed(complex, "taps", "complex values"),
-                                  default=CIR_FIXTURE, help="comma-separated complex taps")),
+    "--out": dict.fromkeys(_CSV, dict(help="output CSV path")),
+    "--config": dict.fromkeys(_CSV, dict(help="key=value defaults file")),
+    "--seed": dict.fromkeys(_CELLS, dict(type=int, default=0, help=f"master seed {_DEFAULT}")),
+    "--snr-db": _selector("snr_db", _snr_db, "numbers", help="SNR(s) in dB, comma-separated"),
+    "--cp": _selector("cp", int, "integers", help="cyclic-prefix length(s), comma-separated"),
+    "--channel": _selector("channel", dict(zip(_CHANNELS, _CHANNELS)).__getitem__,
+                           f"modes of {_MODES}", metavar=_MODES, help="mode(s), comma-separated"),
+    "--sto": _selector("sto", int, "integers", help="true offset(s), comma-separated"),
+    "--method": dict.fromkeys(_CELLS, dict(default="all", choices=_METHODS)),
+    "--n": dict.fromkeys(_CELLS, dict(type=int, default=_REFERENCE_N,
+                                      help=f"IDFT size {_DEFAULT}")),
+    "--trials": {"sweep": dict(type=int, default=100, help=f"trials per cell {_DEFAULT}")},
+    "--points": {"response": dict(type=int, default=256, help=f"bin count {_DEFAULT}")},
+    "--taps": {"response": dict(type=_listed(complex, "taps", "complex values"),
+                                default=CIR_FIXTURE, help="comma-separated complex taps")},
 }
 # Each subcommand's help line and handler, in --help order. A _CSV handler
 # returns the (comments, header, rows) that main writes to --out.
@@ -247,9 +251,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (summary, handler) in _COMMANDS.items():
         command = sub.add_parser(name, help=summary)
-        for flag, (takers, keywords) in _FLAGS.items():
-            if name in takers:
-                command.add_argument(flag, **keywords)
+        for flag, keywords in _FLAGS.items():
+            if name in keywords:
+                command.add_argument(flag, **keywords[name])
         command.set_defaults(func=handler, command=command)
     return parser
 
@@ -269,7 +273,7 @@ def _parse_args(argv) -> argparse.Namespace:
     if not getattr(ns, "config", None):
         return ns
     values = _load_config(ns.config)
-    flags = {flag[2:].replace("-", "_"): (flag, takers) for flag, (takers, _) in _FLAGS.items()}
+    flags = {flag[2:].replace("-", "_"): (flag, takers) for flag, takers in _FLAGS.items()}
     del flags["config"]  # a config file cannot name another
     unknown = [key for key in values if key not in flags]
     if unknown:

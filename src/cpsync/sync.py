@@ -46,7 +46,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .txgen import OfdmParams, SampleStream, _instance, _integer, _unchecked
+from .txgen import OfdmParams, SampleStream, _instance, _integer, _names_overflow, _unchecked
 
 __all__ = [
     "Method",
@@ -131,23 +131,6 @@ class MetricTrace:
     argopt: int
 
 
-def _search_limits(buffer_len: int, n: int, stride: int, symbols_averaged: int) -> tuple[int, int]:
-    """Widest candidate range whose reads, n + d to the last lag block's end, fit the buffer."""
-    return -n, buffer_len - n - symbols_averaged * stride
-
-
-def _check_window(stream: SampleStream, cfg: EstimatorConfig) -> None:
-    """Reject a sweep whose lowest or highest touched index leaves the buffer."""
-    lowest, highest = _search_limits(stream.buffer_len, cfg.n, cfg.stride, cfg.symbols_averaged)
-    if cfg.search_min < lowest or cfg.search_max > highest:
-        lo = cfg.n + cfg.search_min
-        hi = cfg.n + cfg.search_max + cfg.symbols_averaged * cfg.stride - 1
-        raise ValueError(
-            f"estimator window touches [{lo}, {hi}] which exceeds the "
-            f"buffer [0, {stream.buffer_len})"
-        )
-
-
 def _accumulated_pair_series(stream: SampleStream, cfg: EstimatorConfig) -> np.ndarray:
     """Per-index pair statistic summed over branches and symbol periods.
 
@@ -155,20 +138,28 @@ def _accumulated_pair_series(stream: SampleStream, cfg: EstimatorConfig) -> np.n
     search_min + i; a window sum of cp_len consecutive entries is the metric
     for one candidate. Every lead block and its lag-n_fft partner are read
     through one (branches, symbols, lead|lag, span) view of the stream's
-    own buffer.
+    own buffer, which numpy refuses to build past either end.
     """
     span = cfg.search_max - cfg.search_min + cfg.cp_len
     branches = stream.branches
-    row_step, step = branches.strides
-    # A broadcast stream (row stride 0) repeats its first row, whose buffer holds every sample.
+    # A sample steps by the item size (a 1-sample broadcast row has stride 0, and its view would
+    # repeat it); a broadcast stream (row stride 0) reads its first row, which holds every sample.
+    row_step, step = branches.strides[0], branches.itemsize
     buffer = branches if row_step else branches[0]
-    pairs = np.ndarray(
-        (stream.n_branches, cfg.symbols_averaged, 2, span),
-        branches.dtype,
-        buffer,
-        (cfg.n + cfg.search_min) * step,
-        (row_step, cfg.stride * step, cfg.n_fft * step, step),
-    )
+    try:
+        pairs = np.ndarray(
+            (stream.n_branches, cfg.symbols_averaged, 2, span),
+            branches.dtype,
+            buffer,
+            (cfg.n + cfg.search_min) * step,
+            (row_step, cfg.stride * step, cfg.n_fft * step, step),
+        )
+    except ValueError:  # the view would read past an end of the buffer
+        hi = cfg.n + cfg.search_max + cfg.symbols_averaged * cfg.stride - 1
+        raise ValueError(
+            f"estimator window touches [{cfg.n + cfg.search_min}, {hi}] which exceeds the "
+            f"buffer [0, {stream.buffer_len})"
+        ) from None
     term, _, _ = _RULES[cfg.method]
     rows = term(pairs[:, :, 0], pairs[:, :, 1]).reshape(-1, span)
     if span == 1:
@@ -188,6 +179,7 @@ def _argopt(offsets: np.ndarray, values: np.ndarray, maximize: bool) -> int:
     return min((int(d) for d in ties), key=lambda d: (abs(d), d))
 
 
+@_names_overflow
 def estimate_sto(stream: SampleStream, cfg: EstimatorConfig) -> MetricTrace:
     """Evaluate the configured metric over every candidate offset.
 
@@ -196,7 +188,6 @@ def estimate_sto(stream: SampleStream, cfg: EstimatorConfig) -> MetricTrace:
     """
     _instance("stream", stream, SampleStream)
     _instance("cfg", cfg, EstimatorConfig)
-    _check_window(stream, cfg)
     series = _accumulated_pair_series(stream, cfg)
     # series holds span >= cp_len entries, so every window lies inside it;
     # np.ndarray over its buffer costs no Python-level stride helper.
@@ -257,15 +248,15 @@ def default_config(
         symbols_averaged = _integer("symbols_averaged", symbols_averaged, 1)
     n = stream.sample_origin
     half = _search_half_width(params)
-    lowest, highest = _search_limits(stream.buffer_len, n, params.symbol_len, symbols_averaged)
-    # lowest is -n <= 0, so only the top of the window can miss 0.
-    search_max = min(half, highest)
+    # The widest window reads from sample 0 (d = -n <= 0) up to the buffer's last
+    # sample, so only its top can miss 0.
+    search_max = min(half, stream.buffer_len - n - symbols_averaged * params.symbol_len)
     if search_max < 0:
         raise ValueError(f"stream too short for any search window around sample_origin={n}")
     return _unchecked(
         EstimatorConfig,
         method=method,
-        search_min=max(-half, lowest),
+        search_min=max(-half, -n),
         search_max=search_max,
         n=n,
         n_fft=params.n_subcarriers,

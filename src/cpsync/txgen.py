@@ -84,6 +84,11 @@ def _instance(name: str, value, cls: type):
     return value
 
 
+# The overflow rule: a decorated function runs without numpy's overflow warnings and names a
+# non-finite result itself. numpy 1.x saves the outer state on this one object, so none may nest.
+_names_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
 @dataclass(frozen=True)
 class OfdmParams:
     """Static description of one OFDM waveform configuration.

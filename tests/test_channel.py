@@ -503,7 +503,6 @@ def test_impairments_refuse_a_stream_of_another_type(impair):
         impair("x")
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestOverflowIsNamed:
     """Stages whose arithmetic can overflow finite samples say so."""
 

@@ -109,6 +109,13 @@ class TestTraceCommand:
         assert run_cli("trace", *argv, "--out", str(out)) == 2
         assert capsys.readouterr().err == f"error: {field}: trace takes exactly one value, got 2\n"
         assert not out.exists()
+        # The same list from a --config file is refused naming the file.
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{field} = {argv[-1]}\n")
+        assert run_cli("trace", "--config", str(config), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config: {field}: trace takes exactly one value, got 2\n"
+        assert not out.exists()
 
 
 class TestSweepCommand:
@@ -402,7 +409,15 @@ class TestValidationAndExitCodes:
         (["trace", "--sto", "x"], "sto: expected comma-separated integers, got 'x'"),
         (["response", "--taps", "foo"],
          "taps: expected comma-separated complex values, got 'foo'"),
-    ], ids=["sto", "taps"])
+        # float reads text beyond float64's range as +-inf; only inf means no noise.
+        (["sweep", "--snr-db", "1e400", "--cp", "32", "--channel", "awgn", "--trials", "2"],
+         "snr_db: '1e400' is beyond float64's range; inf means no noise"),
+        (["sweep", "--snr-db=2,1e400", "--trials", "2"],
+         "snr_db: '1e400' is beyond float64's range; inf means no noise"),
+        (["trace", "--snr-db=-1e400"],
+         "snr_db: '-1e400' is beyond float64's range; inf means no noise"),
+    ], ids=["sto", "taps", "snr_db_beyond_float64", "snr_db_list_beyond_float64",
+            "negative_snr_db_beyond_float64"])
     def test_unparsable_list_names_its_flag(self, tmp_path, capsys, argv, expected):
         assert run_cli(*argv, "--out", str(tmp_path / "x.csv")) == 2
         assert capsys.readouterr().err == f"error: {expected}\n"
@@ -569,6 +584,18 @@ class TestConfigFile:
         assert code == 2
         err = capsys.readouterr().err
         assert re.search(r"(?<![a-z])snr_db(?![a-z])", err.replace("-", "_"))
+
+    @pytest.mark.parametrize("argv", [["trace"], ["sweep", "--trials", "1"]],
+                             ids=["trace", "sweep"])
+    def test_config_snr_beyond_float64_rejected(self, tmp_path, capsys, argv):
+        # Unchecked, float's +inf ran the cells noiseless.
+        config = tmp_path / "run.cfg"
+        config.write_text("snr_db = 1e400\n")
+        out = tmp_path / "x.csv"
+        assert run_cli(*argv, "--config", str(config), "--out", str(out)) == 2
+        expected = "config: snr_db: '1e400' is beyond float64's range; inf means no noise"
+        assert capsys.readouterr().err == f"error: {expected}\n"
+        assert not out.exists()
 
     def test_trace_runs_with_a_key_only_response_takes(self, tmp_path):
         # One config file can serve several subcommands.

@@ -306,7 +306,6 @@ class TestEstimate:
         cfg = default_config(stream, DEFAULT, Method.DBM_MAGNITUDE, symbols_averaged=1)
         assert estimate_sto(stream, cfg).argopt == 3
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("method", list(Method))
     def test_overflowing_metric_names_method(self, method):
         # Finite samples near 1e160 square past the float64 range in the sums.
@@ -431,13 +430,23 @@ class TestBitExactAccumulation:
             values, argopt = _row_by_row_trace(stream, cfg)
             assert trace.values.tobytes() == values.tobytes()
             assert trace.argopt == argopt
-            # One sample further on either end leaves the buffer: _check_window
-            # rejects it, and the pair view itself could not be built past the end.
+            # One sample further on either end leaves the buffer: numpy refuses to
+            # build the pair view, and the refusal names the window.
             for wider in (dict(search_min=-n - 1), dict(search_max=search_max + 1)):
                 with pytest.raises(ValueError, match="exceeds the buffer"):
                     estimate_sto(stream, dataclasses.replace(cfg, **wider))
             with pytest.raises(ValueError):
                 _accumulated_pair_series(stream, dataclasses.replace(cfg, search_max=search_max + 1))
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_one_sample_broadcast_stream_refused(self, method):
+        # numpy gives a broadcast 1-sample row stride 0, so a view stepped by that
+        # stride would repeat the sample instead of leaving the buffer.
+        stream = replicate_branches(SampleStream(branches=[[1j]], sample_origin=0), 2)
+        cfg = EstimatorConfig(method, 0, 0, n=0, n_fft=1, cp_len=1)
+        message = "estimator window touches [0, 1] which exceeds the buffer [0, 1)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_sto(stream, cfg)
 
     @pytest.mark.parametrize("method", list(Method))
     def test_row_slice_and_read_only_streams(self, method):
@@ -608,3 +617,48 @@ def test_trace_invariants_on_arbitrary_streams(method, seed):
     assert np.all(trace.values >= 0)
     optimum = trace.values.max() if method.maximizes else trace.values.min()
     assert trace.values[int(np.nonzero(trace.offsets == trace.argopt)[0][0])] == optimum
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    buffer_len=st.integers(min_value=1, max_value=48),
+    n_branches=st.integers(min_value=1, max_value=3),
+    layout=st.sampled_from(["rows", "row slice", "broadcast"]),
+    n_fft=st.integers(min_value=1, max_value=10),
+    symbols=st.integers(min_value=1, max_value=3),
+    method=st.sampled_from(list(Method)),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    data=st.data(),
+)
+def test_window_refused_exactly_when_it_leaves_the_buffer(
+    buffer_len, n_branches, layout, n_fft, symbols, method, seed, data
+):
+    cp_len = data.draw(st.integers(min_value=1, max_value=n_fft), label="cp_len")
+    n = data.draw(st.integers(min_value=0, max_value=buffer_len - 1), label="n")
+    search_min = data.draw(st.integers(min_value=-n - 3, max_value=0), label="search_min")
+    search_max = data.draw(st.integers(min_value=0, max_value=buffer_len + 3), label="search_max")
+    rng = np.random.default_rng(seed)
+    rows = n_branches + 2 if layout == "row slice" else n_branches
+    samples = rng.standard_normal((rows, buffer_len)) + 1j * rng.standard_normal((rows, buffer_len))
+    if layout == "rows":
+        stream = SampleStream(branches=samples, sample_origin=n)
+    elif layout == "row slice":
+        stream = SampleStream(branches=samples[1 : 1 + n_branches], sample_origin=n)
+        assert np.shares_memory(stream.branches, samples)  # a view into the larger array
+    else:
+        stream = replicate_branches(SampleStream(branches=samples[:1], sample_origin=n), n_branches)
+        assert stream.branches.strides[0] == 0
+    cfg = EstimatorConfig(method, search_min, search_max, n=n, n_fft=n_fft, cp_len=cp_len,
+                          symbols_averaged=symbols)
+    # The rule, stated here: the reads run from sample n + search_min to the end of
+    # the last lag block, n + search_max + symbols*(n_fft + cp_len) - 1.
+    reach = n + search_max + symbols * (n_fft + cp_len) - 1
+    if search_min < -n or search_max > buffer_len - n - symbols * (n_fft + cp_len):
+        message = (f"estimator window touches [{n + search_min}, {reach}] "
+                   f"which exceeds the buffer [0, {buffer_len})")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            estimate_sto(stream, cfg)
+    else:
+        trace = estimate_sto(stream, cfg)
+        assert trace.values.shape == (search_max - search_min + 1,)
+        assert np.isfinite(trace.values).all()
