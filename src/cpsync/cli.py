@@ -12,7 +12,9 @@ single file is self-describing yet loads in any reader that skips comments.
 Numeric fields use round-trip decimal formatting and every subcommand is
 byte-deterministic in (flags, seed). Flags override values from an optional
 ``--config`` key=value file. Exit codes: 0 success, 2 usage or validation
-error (reported before any simulation work), 1 runtime failure.
+error (reported before any simulation work), 1 runtime failure. ``main`` may
+run many times in one process: each call parses against one parser built at
+import, and a ``--config`` merge re-parses on a parser built for that call.
 """
 
 from __future__ import annotations
@@ -254,8 +256,13 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, keywords in _FLAGS.items():
             if name in keywords:
                 command.add_argument(flag, **keywords[name])
-        command.set_defaults(func=handler, command=command)
+        command.set_defaults(func=handler)
+    parser.set_defaults(commands=sub.choices)  # each subcommand's parser, by name
     return parser
+
+
+# Every main call parses against this one tree, which nothing changes once built.
+_PARSER = build_parser()
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -267,9 +274,8 @@ def _parse_args(argv) -> argparse.Namespace:
     flag given on the command line wins. A key that only another subcommand
     takes is accepted unchecked.
     """
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns = parser.parse_args(argv)
+    ns = _PARSER.parse_args(argv)
     if not getattr(ns, "config", None):
         return ns
     values = _load_config(ns.config)
@@ -280,8 +286,10 @@ def _parse_args(argv) -> argparse.Namespace:
         raise ValidationError(f"config: unknown key {unknown[0]!r}")
     at = argv.index(ns.subcommand) + 1
     argv[at:at] = [f"{flags[k][0]}={v}" for k, v in values.items() if ns.subcommand in flags[k][1]]
-    # The flags parsed once already, so an error now comes from a config value.
-    parser.exit_on_error = ns.command.exit_on_error = False
+    # The flags parsed once already, so an error now comes from a config value. A
+    # tree of its own reports it as one, and _PARSER still exits with its usage line.
+    parser = build_parser()
+    parser.exit_on_error = parser.get_default("commands")[ns.subcommand].exit_on_error = False
     try:
         return parser.parse_args(argv)
     except (argparse.ArgumentError, ValidationError) as err:

@@ -1,10 +1,15 @@
 """CLI behaviour: CSV schemas, determinism, validation and exit codes."""
 
+import argparse
 import csv
 import dataclasses
 import io
 import itertools
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -613,3 +618,101 @@ class TestConfigFile:
         ]:
             config.write_text(text)
             assert run_cli(*argv, "--config", str(config), "--out", str(out)) == 0, (argv, text)
+
+
+# Run in a fresh interpreter: every --help text, captured first in the process
+# and again after trace, sweep and --config calls, as one JSON list per capture.
+HELP_TWICE = """
+import contextlib, io, json, sys
+from pathlib import Path
+from cpsync.cli import main
+
+def helps():
+    texts = []
+    for argv in (["--help"], *([name, "--help"] for name in ("trace", "sweep", "response", "fixture"))):
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            assert main(argv) == 0, argv
+        texts.append(out.getvalue())
+    return texts
+
+first = helps()
+work = Path(sys.argv[1])
+out = str(work / "x.csv")
+(work / "bad.cfg").write_text("trials = many\\n")
+(work / "good.cfg").write_text("seed = 3\\n")
+assert main(["trace", "--out", out]) == 0
+assert main(["sweep", "--trials", "1", "--cp", "16", "--out", out]) == 0
+assert main(["sweep", "--config", str(work / "bad.cfg"), "--out", out]) == 2
+assert main(["trace", "--config", str(work / "good.cfg"), "--out", out]) == 0
+print(json.dumps([first, helps()]))
+"""
+
+
+class TestOneParserPerProcess:
+    """main parses every argv against one parser; a --config merge builds its own."""
+
+    @staticmethod
+    def _usage_errors(tmp_path, capsys):
+        codes_and_errs = []
+        for argv in (["--trials", "many"], ["--method", "nope"]):
+            code = run_cli("sweep", *argv, "--out", str(tmp_path / "y.csv"))
+            codes_and_errs.append((code, capsys.readouterr().err))
+        return codes_and_errs
+
+    def test_config_calls_leave_the_usage_errors_as_they_were(self, tmp_path, capsys):
+        # A --config re-parse that switched the shared parser to exit_on_error=False
+        # turned these into "error: ArgumentError: ..." and exit 1.
+        before = self._usage_errors(tmp_path, capsys)
+        config = tmp_path / "run.cfg"
+        config.write_text("trials = many\n")
+        out = tmp_path / "x.csv"
+        assert run_cli("sweep", "--config", str(config), "--out", str(out)) == 2
+        expected = "error: config: argument --trials: invalid int value: 'many'\n"
+        assert capsys.readouterr().err == expected
+        config.write_text("trials = 1\ncp = 16\n")
+        assert run_cli("sweep", "--config", str(config), "--out", str(out)) == 0
+        after = self._usage_errors(tmp_path, capsys)
+        assert after == before
+        for (code, err), message in zip(after, [
+            "argument --trials: invalid int value: 'many'",
+            "argument --method: invalid choice: 'nope'",
+        ]):
+            assert code == 2
+            assert err.startswith("usage: cpsync sweep [-h] ")
+            assert f"\ncpsync sweep: error: {message}" in err
+        assert not (tmp_path / "y.csv").exists()
+
+    def test_main_builds_no_parser_after_the_first_call(self, tmp_path, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
+        out = str(tmp_path / "x.csv")
+        assert run_cli("fixture") == 0
+        built.clear()
+        for argv in (["trace", "--out", out], ["sweep", "--trials", "1", "--cp", "16", "--out", out],
+                     ["response", "--points", "16", "--out", out], ["fixture"], ["--help"],
+                     ["sweep", "--help"]):
+            assert run_cli(*argv) == 0, argv
+        assert built == []
+        config = tmp_path / "run.cfg"
+        config.write_text("seed = 3\n")
+        assert run_cli("trace", "--config", str(config), "--out", out) == 0
+        assert built == ["cpsync", *(f"cpsync {name}" for name in cli._COMMANDS)]
+
+    def test_help_is_the_same_before_and_after_other_calls(self, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ, "COLUMNS": "80",
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", HELP_TWICE, str(tmp_path)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        first, again = json.loads(done.stdout)
+        assert again == first
+        assert first[0].startswith("usage: cpsync [-h] {trace,sweep,response,fixture} ...")
+        for name, text in zip(cli._COMMANDS, first[1:]):
+            assert text.startswith(f"usage: cpsync {name} [-h]")
