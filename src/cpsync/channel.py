@@ -64,20 +64,24 @@ MIN_SNR_DB = -300.0
 
 def _check_snr_db(snr_db) -> float:
     """snr_db as a float, if +inf (no noise) or >= MIN_SNR_DB with 10^(snr_db/10) finite."""
-    with contextlib.suppress(OverflowError):  # from _real or from 10^(snr_db/10)
+    try:
         value = _real("snr_db", snr_db)
         # +inf passes only as given: a longdouble beyond float64 becomes inf in value.
         if snr_db == math.inf or (value >= MIN_SNR_DB and 10.0 ** (value / 10.0) < math.inf):
             return value
+    except OverflowError:  # from _real or from 10^(snr_db/10)
+        pass
     rule = f"use +inf or a value >= {MIN_SNR_DB:g} (not NaN) with 10^(snr_db/10) finite"
     raise ValueError(f"snr_db={snr_db!s} cannot size noise; {rule}")
 
 
 def _check_epsilon(epsilon) -> float:
     """epsilon as a float; refuse one that is not a finite real number."""
-    with contextlib.suppress(OverflowError):  # from _real: an int beyond float64's range
+    try:
         if math.isfinite(value := _real("epsilon", epsilon)):
             return value
+    except OverflowError:  # from _real: an int beyond float64's range
+        pass
     raise ValueError(f"epsilon must be finite, got {epsilon!s}")
 
 
@@ -288,7 +292,7 @@ def add_awgn(stream: SampleStream, snr_db: float, seed: int) -> SampleStream:
     if not math.isfinite(sigma2):  # finite-variance noise cannot overflow a finite stream
         raise ValueError("noise variance is non-finite: the payload power overflows float64")
     rng = np.random.default_rng(seed)
-    scale = np.sqrt(sigma2 / 2.0)
+    scale = math.sqrt(sigma2 / 2.0)
     draws = _buffer("awgn draws", (stream.n_branches, 2, stream.buffer_len), np.float64)
     rng.standard_normal(out=draws)
     noise = _buffer("awgn", stream.branches.shape, np.complex128)

@@ -13,14 +13,15 @@ Numeric fields use round-trip decimal formatting and every subcommand is
 byte-deterministic in (flags, seed). Flags override values from an optional
 ``--config`` key=value file. Exit codes: 0 success, 2 usage or validation
 error (reported before any simulation work), 1 runtime failure. ``main`` may
-run many times in one process: each call parses against one parser built at
-import, and a ``--config`` merge re-parses on a parser built for that call.
+run many times in one process: each call parses against one parser built on
+the first call, and a ``--config`` merge re-parses on a parser built for that call.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import os
 import sys
 from collections.abc import Iterator
@@ -261,8 +262,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# Every main call parses against this one tree, which nothing changes once built.
-_PARSER = build_parser()
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The tree every main call parses against, built on the first; nothing changes it.
+
+    Importing cli builds no parser.
+    """
+    return build_parser()
 
 
 def _parse_args(argv) -> argparse.Namespace:
@@ -275,7 +281,7 @@ def _parse_args(argv) -> argparse.Namespace:
     takes is accepted unchecked.
     """
     argv = sys.argv[1:] if argv is None else list(argv)
-    ns = _PARSER.parse_args(argv)
+    ns = _parser().parse_args(argv)
     if not getattr(ns, "config", None):
         return ns
     values = _load_config(ns.config)
@@ -287,7 +293,7 @@ def _parse_args(argv) -> argparse.Namespace:
     at = argv.index(ns.subcommand) + 1
     argv[at:at] = [f"{flags[k][0]}={v}" for k, v in values.items() if ns.subcommand in flags[k][1]]
     # The flags parsed once already, so an error now comes from a config value. A
-    # tree of its own reports it as one, and _PARSER still exits with its usage line.
+    # tree of its own reports it as one, and _parser()'s still exits with its usage line.
     parser = build_parser()
     parser.exit_on_error = parser.get_default("commands")[ns.subcommand].exit_on_error = False
     try:

@@ -15,7 +15,10 @@ alike (on an AVX-512 host the product differs from Python's complex product).
 Seed splitting: sub-seeds are blake2b-8 digests over the tagged parts, e.g.
 trial seed = derive_seed(master_seed, scenario_label, trial_index) and stage
 seeds = derive_seed(trial_seed, "tx" | "awgn" | "cir"). Python's built-in
-hash() is salted per process and is deliberately not used.
+hash() is salted per process and is deliberately not used. blake2b hashes a
+stream, so run_monte_carlo hashes (master_seed, scenario_label) once per call
+and run_trial its seed once, and each trial or stage seed continues a copy of
+that state: the same digest as derive_seed over all the parts.
 """
 
 from __future__ import annotations
@@ -72,26 +75,43 @@ _REFERENCE_N = 128
 _REFERENCE_AXES = {"snr_db": (10.0, 2.0), "cp": (32, 16), "channel": ("awgn", "rayleigh-fixture")}
 
 
+def _tagged(part: int | str) -> bytes:
+    """A seed part as hashed: b"i" + 16 signed little-endian bytes or b"s" + UTF-8, then b"\x1f"."""
+    if isinstance(part, (int, np.integer)) and not isinstance(part, bool):
+        try:
+            return b"i" + int(part).to_bytes(16, "little", signed=True) + b"\x1f"
+        except OverflowError:
+            raise ValueError(f"seed parts must lie in [-2**127, 2**127), got {int(part)}") from None
+    if isinstance(part, str):
+        return b"s" + part.encode("utf-8") + b"\x1f"
+    raise TypeError(f"seed parts must be int or str, got {type(part).__name__}")
+
+
+def _seed_prefix(*parts: int | str) -> hashlib.blake2b:
+    """A blake2b-8 state that has hashed parts, for _seed_from to continue."""
+    state = hashlib.blake2b(digest_size=8)
+    for part in parts:
+        state.update(_tagged(part))
+    return state
+
+
+def _seed_from(prefix: hashlib.blake2b, tagged: bytes) -> int:
+    """derive_seed over prefix's parts and then the part that _tagged made tagged from.
+
+    blake2b hashes a stream, so a copy of prefix goes on as hashing every part again would.
+    """
+    state = prefix.copy()
+    state.update(tagged)
+    return int.from_bytes(state.digest(), "little")
+
+
+# Each stage's tag, hashed after a trial seed to seed that stage's generator.
+_STAGES = {stage: _tagged(stage) for stage in ("tx", "cir", "awgn")}
+
+
 def derive_seed(*parts: int | str) -> int:
     """Deterministic 64-bit seed from tagged integer/string parts."""
-    h = hashlib.blake2b(digest_size=8)
-    for part in parts:
-        if isinstance(part, (int, np.integer)) and not isinstance(part, bool):
-            try:
-                packed = int(part).to_bytes(16, "little", signed=True)
-            except OverflowError:
-                raise ValueError(
-                    f"seed parts must lie in [-2**127, 2**127), got {int(part)}"
-                ) from None
-            h.update(b"i")
-            h.update(packed)
-        elif isinstance(part, str):
-            h.update(b"s")
-            h.update(part.encode("utf-8"))
-        else:
-            raise TypeError(f"seed parts must be int or str, got {type(part).__name__}")
-        h.update(b"\x1f")
-    return int.from_bytes(h.digest(), "little")
+    return int.from_bytes(_seed_prefix(*parts).digest(), "little")
 
 
 def _items(name: str, values, rule: str) -> tuple:
@@ -246,18 +266,18 @@ def run_trial(scenario: Scenario, true_sto: int, seed: int) -> TrialResult:
     _instance("scenario", scenario, Scenario)
     ofdm = scenario.ofdm
     check_search_offset("true_sto", true_sto, ofdm)
-    seed = _integer("seed", seed)
-    stream = build_frame(ofdm, derive_seed(seed, "tx"))
+    trial = _seed_prefix(_integer("seed", seed))  # each stage seed continues a copy
+    stream = build_frame(ofdm, _seed_from(trial, _STAGES["tx"]))
     taps = scenario.channel.cir_taps
     if scenario.fresh_cir_per_trial:
-        taps = random_cir(scenario.n_random_taps, derive_seed(seed, "cir"), normalize=True)
+        taps = random_cir(scenario.n_random_taps, _seed_from(trial, _STAGES["cir"]), normalize=True)
     if len(taps):
         stream = apply_cir(stream, taps)
     # Every branch sees the same channel, so convolve once and then replicate.
     if scenario.channel.rx_branches > 1:
         stream = replicate_branches(stream, scenario.channel.rx_branches)
     stream = apply_sto(stream, true_sto)
-    stream = add_awgn(stream, scenario.channel.snr_db, derive_seed(seed, "awgn"))
+    stream = add_awgn(stream, scenario.channel.snr_db, _seed_from(trial, _STAGES["awgn"]))
     if scenario.channel.cfo is not None:
         # Receiver-mixer model: the rotation hits signal and noise alike, so
         # magnitude-based decisions match the CFO-free run exactly.
@@ -274,15 +294,16 @@ def run_monte_carlo(scenario: Scenario, n_trials: int, master_seed: int) -> Scen
     """
     _instance("scenario", scenario, Scenario)
     n_trials = _integer("n_trials", n_trials, 1)
-    master_seed = _integer("master_seed", master_seed)
+    # Hashed once; each trial seed continues a copy with its index.
+    cell = _seed_prefix(_integer("master_seed", master_seed), scenario.label)
     errors: dict[Method, list[int]] = {m: [] for m in scenario.methods}
     # No stream outlives its trial: a TrialResult holds only traces.
     with _trial_buffers():
         for index in range(n_trials):
             true_sto = scenario.sto_values[index % len(scenario.sto_values)]
-            result = run_trial(scenario, true_sto, derive_seed(master_seed, scenario.label, index))
-            for method, estimate in result.estimates.items():
-                errors[method].append(estimate - true_sto)
+            result = run_trial(scenario, true_sto, _seed_from(cell, _tagged(index)))
+            for method, trace in result.traces.items():
+                errors[method].append(trace.argopt - true_sto)
     return ScenarioStats(
         label=scenario.label,
         n_trials=n_trials,

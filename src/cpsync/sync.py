@@ -172,11 +172,11 @@ def _accumulated_pair_series(stream: SampleStream, cfg: EstimatorConfig) -> np.n
 
 
 def _argopt(offsets: np.ndarray, values: np.ndarray, maximize: bool) -> int:
-    opt = values.max() if maximize else values.min()
-    ties = offsets[values == opt]
-    if ties.size == 1:  # the common case needs no tie rule
-        return int(ties[0])
-    return min((int(d) for d in ties), key=lambda d: (abs(d), d))
+    first = values.argmax() if maximize else values.argmin()  # the first optimum
+    tied = values == values[first]
+    if np.count_nonzero(tied) == 1:  # the common case needs no tie rule
+        return int(offsets[first])
+    return min((int(d) for d in offsets[tied]), key=lambda d: (abs(d), d))
 
 
 @_names_overflow

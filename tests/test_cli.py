@@ -647,6 +647,24 @@ assert main(["trace", "--config", str(work / "good.cfg"), "--out", out]) == 0
 print(json.dumps([first, helps()]))
 """
 
+# Counts the parsers an import of cpsync.cli builds, then those its first main call builds.
+IMPORT_BUILDS = """
+import argparse, contextlib, io, json
+built = []
+init = argparse.ArgumentParser.__init__
+
+def spy(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = spy
+from cpsync import cli
+imported = list(built)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["fixture"]) == 0
+print(json.dumps([imported, built]))
+"""
+
 
 class TestOneParserPerProcess:
     """main parses every argv against one parser; a --config merge builds its own."""
@@ -716,3 +734,16 @@ class TestOneParserPerProcess:
         assert first[0].startswith("usage: cpsync [-h] {trace,sweep,response,fixture} ...")
         for name, text in zip(cli._COMMANDS, first[1:]):
             assert text.startswith(f"usage: cpsync {name} [-h]")
+
+    def test_import_builds_no_parser_and_the_first_call_builds_one(self):
+        # A process that imports cli without calling main, as a library user or a
+        # benchmark set-up does, pays for no parser.
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", IMPORT_BUILDS], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        imported, built = json.loads(done.stdout)
+        assert imported == []
+        assert built == ["cpsync", *(f"cpsync {name}" for name in cli._COMMANDS)]

@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cpsync import (
     CIR_FIXTURE,
@@ -99,6 +101,59 @@ class TestDeriveSeed:
         plain, numpy_seeded = run_trial(cell, 3, 11), run_trial(cell, 3, kind(11))
         for method, trace in plain.traces.items():
             assert numpy_seeded.traces[method].values.tobytes() == trace.values.tobytes()
+
+
+# Any seed derive_seed takes, with both ends of its range drawn often.
+SEEDS = st.one_of(st.sampled_from([-(2**127), 2**127 - 1, 0]),
+                  st.integers(min_value=-(2**127), max_value=2**127 - 1))
+
+
+# run_monte_carlo hashes (master_seed, label) once and run_trial its seed once; each
+# trial or stage seed continues a copy of that prefix and must equal derive_seed's.
+@settings(max_examples=200, deadline=None)
+@given(
+    master_seed=SEEDS,
+    label=st.text(min_size=1),
+    index=st.integers(min_value=0, max_value=10**6),
+    seed=SEEDS,
+    stage=st.sampled_from(["tx", "cir", "awgn"]),
+)
+@example(master_seed=-(2**127), label="snr10_cp32_rayleigh", index=10**6, seed=2**127 - 1,
+         stage="tx")
+@example(master_seed=2**127 - 1, label="Δτ ≤ 2·cp ✓", index=0, seed=-(2**127), stage="awgn")
+def test_prefix_seeds_equal_derive_seed(master_seed, label, index, seed, stage):
+    cell = harness._seed_prefix(master_seed, label)
+    trial_seed = harness._seed_from(cell, harness._tagged(index))
+    assert trial_seed == derive_seed(master_seed, label, index)
+    stage_seed = harness._seed_from(harness._seed_prefix(seed), harness._STAGES[stage])
+    assert stage_seed == derive_seed(seed, stage)
+
+
+@pytest.mark.parametrize("master_seed", [-(2**127), 2**127 - 1])
+def test_trials_and_stages_receive_derive_seed_values(master_seed, monkeypatch):
+    cell = Scenario(label="ränd-Δ", ofdm=OfdmParams(n_subcarriers=32, cp_len=8),
+                    channel=ChannelScenario(snr_db=10.0), fresh_cir_per_trial=True)
+    seen = []
+
+    def spy(name, stage, seed_at):
+        original = getattr(harness, name)
+
+        def record(*args, **kwargs):
+            seen.append((stage, args[seed_at]))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, record)
+
+    spy("run_trial", "trial", 2)
+    spy("build_frame", "tx", 1)
+    spy("random_cir", "cir", 1)
+    spy("add_awgn", "awgn", 2)
+    run_monte_carlo(cell, 3, master_seed)
+    expected = []
+    for index in range(3):
+        trial = derive_seed(master_seed, cell.label, index)
+        expected += [("trial", trial), *((s, derive_seed(trial, s)) for s in ("tx", "cir", "awgn"))]
+    assert seen == expected
 
 
 class TestReferenceScenarios:

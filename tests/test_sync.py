@@ -561,6 +561,16 @@ class TestTieBreak:
         assert _argopt(offsets, values, maximize=True) == 1
         assert _argopt(offsets, values, maximize=False) == -1
 
+    @pytest.mark.parametrize("maximize", [True, False])
+    @pytest.mark.parametrize("first, later", [(-0.0, 0.0), (0.0, -0.0)], ids=["-0,+0", "+0,-0"])
+    def test_zeros_of_either_sign_tie(self, maximize, first, later):
+        # 0.0 and -0.0 compare equal, so a first optimum of either sign ties with
+        # the other, and the rule picks +1 over the earlier -2.
+        offsets = np.arange(-2, 3)
+        other = -5.0 if maximize else 5.0
+        values = np.array([first, other, other, later, other])
+        assert _argopt(offsets, values, maximize) == 1
+
 
 @settings(max_examples=200, deadline=None)
 @given(
